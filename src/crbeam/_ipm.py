@@ -34,6 +34,21 @@ import scipy.sparse as sp
 
 PSD, NONNEG, FREE = "psd", "nonneg", "free"
 
+# Why solve_cone_program stopped.  The status says what the reported
+# (best) iterate achieves; the termination says which exit was taken, so
+# an early exit whose best iterate still meets ``tol`` reads Optimal with
+# the exit named here.
+TERMINATIONS = (
+    "target_tol",           # metric reached target_tol
+    "no_progress",          # best iterate within tol and the iteration stopped improving
+    "dual_ray",             # Infeasible: dual improving ray found
+    "primal_ray",           # Unbounded: primal improving ray found
+    "schur_failure",        # NT scaling or Schur factorization raised LinAlgError
+    "nonfinite_direction",  # Newton direction not finite
+    "step_stall",           # step lengths below 1e-8 three iterations running
+    "max_iter",             # iteration limit reached
+)
+
 _DENSE_ROW_NNZ = 16  # rows with more nonzeros than this use dense matmuls
 
 
@@ -80,6 +95,7 @@ class IpmResult:
     res_dual: float
     gap_rel: float
     iterations: int
+    termination: str                         # why the iteration stopped; one of TERMINATIONS
     history: List[dict] = field(default_factory=list)
     certificate: Optional[dict] = None       # dual/primal improving ray when infeasible/unbounded
 
@@ -106,11 +122,21 @@ def _embed_project(m: np.ndarray, nc: int) -> np.ndarray:
     return out
 
 
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice when it is one ascending run of indices, else ``idx`` itself."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class _BlockA:
     """Constraint coefficients for one cone block, in flat sparse form."""
 
     def __init__(self, blk: Block, rows: np.ndarray, coeff: np.ndarray):
         self.rows = rows
+        sel = _as_slice(rows)
+        # where this block's rows x rows entries sit in the Schur matrix
+        self.schur_index = (sel, sel) if isinstance(sel, slice) else np.ix_(rows, rows)
         self.is_psd = blk.kind == PSD
         n_local = rows.shape[0]
         flat = coeff.reshape(n_local, -1)
@@ -119,25 +145,24 @@ class _BlockA:
         self.n = blk.dim
         if self.is_psd:
             nnz_per_row = np.diff(self.mat.indptr)
-            self.dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
-            self.sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
-            self.dense_stack = coeff[self.dense_idx] if self.dense_idx.size else None
-            self.pad_v = None
-            if self.sparse_idx.size:
-                sub = self.mat[self.sparse_idx].tocsr()
-                nmax = int(np.max(np.diff(sub.indptr))) if sub.nnz else 0
-                if nmax:
-                    r_s = self.sparse_idx.size
-                    self.pad_i = np.zeros((r_s, nmax), dtype=int)
-                    self.pad_j = np.zeros((r_s, nmax), dtype=int)
-                    self.pad_v = np.zeros((r_s, nmax))
-                    for r in range(r_s):
-                        lo, hi = sub.indptr[r], sub.indptr[r + 1]
-                        cols = sub.indices[lo:hi]
-                        self.pad_i[r, : hi - lo], self.pad_j[r, : hi - lo] = np.unravel_index(
-                            cols, (self.n, self.n)
-                        )
-                        self.pad_v[r, : hi - lo] = sub.data[lo:hi]
+            dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
+            sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
+            self.dense_sel, self.sparse_sel = _as_slice(dense_idx), _as_slice(sparse_idx)
+            self.dense_stack = coeff[dense_idx] if dense_idx.size else None
+            self.slot_col = None
+            if sparse_idx.size:
+                # slot q of sparse row r holds the row's q-th stored entry in
+                # CSR order (flat column, value), zero-padded to the longest row
+                sub = self.mat[sparse_idx]
+                counts = np.diff(sub.indptr)
+                row = np.repeat(np.arange(sparse_idx.size), counts)
+                slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], counts)
+                shape = (max(1, int(counts.max())), sparse_idx.size)
+                self.slot_col = np.zeros(shape, dtype=int)
+                self.slot_val = np.zeros(shape)
+                self.slot_col[slot, row] = sub.indices
+                self.slot_val[slot, row] = sub.data
+                self.pad_i, self.pad_j = np.divmod(self.slot_col.T, self.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A_block(x): one inner product per local row."""
@@ -150,24 +175,41 @@ class _BlockA:
     def gram(self, w: np.ndarray) -> np.ndarray:
         """M_local = [tr(C_r W C_s W)]_{rs} for the NT matrix ``w`` (PSD blocks).
 
-        Elementary rows (the common case: subblock-coupling constraints)
-        are handled as padded batched rank-one updates W C W = sum_t v_t
-        (W e_i)(W e_j)^T, avoiding dense triple products.
+        With U_s = W C_s W flattened, entry (r, s) is row r of ``mat``
+        contracted with U_s term by term in CSR order, starting from zero,
+        as ``mat @ U.T`` sums it; both paths below keep that order, so the
+        result is the same to the last bit.  Elementary rows (the common
+        case: subblock-coupling constraints) form U_s as padded batched
+        rank-one updates W C W = sum_t v_t (W e_i)(W e_j)^T, avoiding dense
+        triple products.
         """
-        n_local = self.rows.shape[0]
-        if not hasattr(self, "_u_buf"):
-            self._u_buf = np.zeros((n_local, self.n * self.n))
-        u = self._u_buf
+        u_dense = u_sparse = None
         if self.dense_stack is not None:
-            u[self.dense_idx] = (w @ self.dense_stack @ w).reshape(self.dense_idx.size, -1)
-        if self.pad_v is not None:
-            r_s, nmax = self.pad_v.shape
+            u_dense = (w @ self.dense_stack @ w).reshape(self.dense_stack.shape[0], -1)
+        if self.slot_col is not None:
+            r_s, nmax = self.pad_i.shape
             # w is symmetric: row gathers give the needed columns contiguously
-            left = w[self.pad_i.ravel()].reshape(r_s, nmax, self.n) * self.pad_v[:, :, None]
+            left = w[self.pad_i.ravel()].reshape(r_s, nmax, self.n) * self.slot_val.T[:, :, None]
             right = w[self.pad_j.ravel()].reshape(r_s, nmax, self.n)
-            u[self.sparse_idx] = np.matmul(left.transpose(0, 2, 1), right).reshape(r_s, -1)
-        m_local = self.mat @ u.T
-        return _sym(np.asarray(m_local))
+            u_sparse = np.matmul(left.transpose(0, 2, 1), right).reshape(r_s, -1)
+        if u_dense is None:
+            # elementary rows only: gather each slot's column of U rather than
+            # transposing all of U; m_t[s, r] = M_local[r, s], and _sym gives
+            # the same bits for a matrix and its transpose
+            m_t = np.zeros((r_s, r_s))
+            term = np.empty_like(m_t)
+            for col, val in zip(self.slot_col, self.slot_val):
+                np.take(u_sparse, col, axis=1, out=term, mode="clip")   # "raise" would buffer ``out``
+                term *= val
+                m_t += term
+            return _sym(m_t)
+        # the dense rows' sparse product needs U^T in row-major order; the
+        # elementary rows share it
+        u_t = np.empty((self.n * self.n, self.rows.shape[0]))
+        u_t[:, self.dense_sel] = u_dense.T
+        if u_sparse is not None:
+            u_t[:, self.sparse_sel] = u_sparse.T
+        return _sym(self.mat @ u_t)
 
 
 def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray]) -> np.ndarray:
@@ -259,10 +301,10 @@ def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
         if op is None or blk.kind == FREE:
             continue
         if blk.kind == PSD:
-            m[np.ix_(op.rows, op.rows)] += op.gram(nt.w[j])
+            m[op.schur_index] += op.gram(nt.w[j])
         else:
             dense = op.mat.multiply(nt.w[j][np.newaxis, :]) @ op.mat.T
-            m[np.ix_(op.rows, op.rows)] += np.asarray(dense.todense())
+            m[op.schur_index] += np.asarray(dense.todense())
     return _sym(m)
 
 
@@ -329,7 +371,8 @@ def solve_cone_program(
 
     ``tol`` is the acceptance threshold for status Optimal; the iteration
     keeps polishing towards ``target_tol`` while it makes progress, so
-    reported residuals are typically well below ``tol``.
+    reported residuals are typically well below ``tol``.  The result's
+    ``termination`` names the exit taken (see ``TERMINATIONS``).
     """
     blocks = prog.blocks
     nu = prog.barrier_degree()
@@ -466,7 +509,7 @@ def solve_cone_program(
             return {"kind": "primal_ray", "x": xr, "objective_rate": _inner(c_s, xr)}
         return None
 
-    status = "MaxIter"
+    status, termination = "MaxIter", "max_iter"
     certificate = None
     it = 0
     no_progress = 0
@@ -497,28 +540,29 @@ def solve_cone_program(
             }
         )
         if metric <= target_tol:
-            status = "Optimal"
+            status, termination = "Optimal", "target_tol"
             break
         if best[0] <= tol and (no_progress >= 3 or stall >= 2):
-            status = "Optimal"
+            status, termination = "Optimal", "no_progress"
             break
 
         # divergence-based certificates
         if res_p > 1e3 * tol and it > 5:
             cert = check_infeasible(y)
             if cert is not None:
-                status, certificate = "Infeasible", cert
+                status, termination, certificate = "Infeasible", "dual_ray", cert
                 break
         if it > 5:
             cert = check_unbounded(x)
             if cert is not None:
-                status, certificate = "Unbounded", cert
+                status, termination, certificate = "Unbounded", "primal_ray", cert
                 break
 
         try:
             nt = _NTScaling(blocks, x, z)
             solver = _SchurSolver(_schur(ops, prog, nt), af)
         except np.linalg.LinAlgError:
+            termination = "schur_failure"
             break
 
         def newton(rc_blocks):
@@ -589,12 +633,14 @@ def solve_cone_program(
                 rc.append((sigma * mu - x[j] * z[j] - dx_a[j] * dz_a[j]) / z[j])
         dx, dy, dz = newton(rc)
         if any(not np.all(np.isfinite(d)) for d in dx) or not np.all(np.isfinite(dy)):
+            termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dz)
         ap, ad = min(1.0, step_frac * ap), min(1.0, step_frac * ad)
         if min(ap, ad) < 1e-8:
             stall += 1
             if stall >= 3:
+                termination = "step_stall"
                 break
         else:
             stall = 0
@@ -644,6 +690,7 @@ def solve_cone_program(
         res_dual=res_d,
         gap_rel=gap,
         iterations=it,
+        termination=termination,
         history=history,
         certificate=certificate,
     )

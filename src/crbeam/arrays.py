@@ -46,10 +46,6 @@ class ExtendedTarget:
     response: np.ndarray = field(repr=False)
 
     @staticmethod
-    def from_scatterers(scatterers, geometry: "ArrayGeometry") -> "ExtendedTarget":
-        return ExtendedTarget(response=response_extended(scatterers, geometry))
-
-    @staticmethod
     def random(geometry: "ArrayGeometry", rng: np.random.Generator) -> "ExtendedTarget":
         """i.i.d. unit-variance complex Gaussian response matrix."""
         shape = (geometry.n_rx, geometry.n_tx)

@@ -175,10 +175,6 @@ def db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def linear_to_db(x: float) -> float:
-    return float(10.0 * np.log10(x))
-
-
 def dbm_to_mw(dbm: float) -> float:
     return db_to_linear(dbm)
 

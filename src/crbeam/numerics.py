@@ -32,11 +32,6 @@ def herm_error(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def is_hermitian(M: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    scale = max(1.0, float(np.linalg.norm(M)))
-    return herm_error(M) <= rtol * scale
-
-
 def assert_hermitian(M: np.ndarray, rtol: float = HERM_RTOL, what: str = "matrix") -> None:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitian(f"{what} is not square: shape {M.shape}")

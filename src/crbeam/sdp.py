@@ -107,6 +107,7 @@ class SdpSolution:
     dobj: float
     residuals: Dict[str, float]
     iterations: int
+    termination: str                        # the IPM's exit reason, one of _ipm.TERMINATIONS
     history: List[dict] = field(default_factory=list)
     certificate: Optional[dict] = None
 
@@ -212,7 +213,17 @@ def _build_cone_program(p: SdpProblem):
 
 
 def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
-    """Solve the SDP; status Optimal guarantees residuals below ``opts.tol``."""
+    """Solve the SDP.
+
+    Status Optimal means that the reported iterate, the best one the
+    interior-point method saw, has max(res_p, res_d, min(gap, mu_rel)) at
+    most ``opts.tol`` (at most ``opts.target_tol`` when that is larger),
+    measured on the solver's row-equilibrated data divided by
+    max(1, max|b|) and max(1, max|C|).  mu_rel is the complementarity x.z relative to the objectives.
+    So the reported relative gap can exceed ``opts.tol``, and residuals
+    recomputed from the original data (:func:`check_certificate`) can
+    exceed it too.  ``termination`` names the exit the method took.
+    """
     opts = opts or SolveOptions()
     prog, block_names, n_slack, n_free = _build_cone_program(p)
     res = _ipm.solve_cone_program(
@@ -238,6 +249,7 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
         dobj=res.dobj,
         residuals={"primal": res.res_primal, "dual": res.res_dual, "gap": res.gap_rel},
         iterations=res.iterations,
+        termination=res.termination,
         history=res.history,
         certificate=res.certificate,
     )

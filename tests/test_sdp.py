@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from crbeam import _ipm
 from crbeam.errors import DimensionMismatch
 from crbeam.sdp import (
     SdpProblem,
@@ -213,3 +216,167 @@ def test_dump_conic_format():
 def test_solve_options_defaults():
     opts = SolveOptions()
     assert opts.tol == 1e-7
+
+
+# -- Schur assembly: bit-for-bit against the plain formula -----------------
+
+
+def reference_gram(op, w):
+    """M = mat @ U.T, then _sym, with U_r = W C_r W formed row by row as
+    elementary (padded rank-one batch) or dense (triple product) rows."""
+    n = op.n
+    nnz = np.diff(op.mat.indptr)
+    dense = np.nonzero(nnz > _ipm._DENSE_ROW_NNZ)[0]
+    sparse = np.nonzero(nnz <= _ipm._DENSE_ROW_NNZ)[0]
+    u = np.zeros((op.rows.size, n * n))
+    if dense.size:
+        stack = op.mat[dense].toarray().reshape(-1, n, n)
+        u[dense] = (w @ stack @ w).reshape(dense.size, -1)
+    sub = op.mat[sparse].tocsr()
+    nmax = int(np.max(np.diff(sub.indptr))) if sub.nnz else 0
+    if nmax:
+        pad_i = np.zeros((sparse.size, nmax), dtype=int)
+        pad_j = np.zeros((sparse.size, nmax), dtype=int)
+        pad_v = np.zeros((sparse.size, nmax))
+        for r in range(sparse.size):
+            lo, hi = sub.indptr[r], sub.indptr[r + 1]
+            pad_i[r, : hi - lo], pad_j[r, : hi - lo] = np.unravel_index(sub.indices[lo:hi], (n, n))
+            pad_v[r, : hi - lo] = sub.data[lo:hi]
+        left = w[pad_i.ravel()].reshape(sparse.size, nmax, n) * pad_v[:, :, None]
+        right = w[pad_j.ravel()].reshape(sparse.size, nmax, n)
+        u[sparse] = np.matmul(left.transpose(0, 2, 1), right).reshape(sparse.size, -1)
+    return _ipm._sym(np.asarray(op.mat @ u.T))
+
+
+def reference_schur(ops, prog, nt):
+    m = np.zeros((prog.n_rows, prog.n_rows))
+    for op, blk, w in zip(ops, prog.blocks, nt.w):
+        if blk.kind == _ipm.PSD:
+            m[np.ix_(op.rows, op.rows)] += reference_gram(op, w)
+        else:
+            dense = op.mat.multiply(w[np.newaxis, :]) @ op.mat.T
+            m[np.ix_(op.rows, op.rows)] += np.asarray(dense.todense())
+    return _ipm._sym(m)
+
+
+def coupling(rng, n, entries):
+    """Symmetric coefficient with random weights on the given (i, j) pairs."""
+    c = np.zeros((n, n))
+    for i, j in entries:
+        v = rng.standard_normal()
+        c[i, j] += v
+        c[j, i] += v
+    return c
+
+
+def mixed_rows(rng, n, kinds):
+    out = []
+    for kind in kinds:
+        if kind == "elem":
+            i, j, k, l = rng.integers(n, size=4)
+            out.append(coupling(rng, n, [(i, j), (k, l)]))
+        elif kind == "dense":
+            a = rng.standard_normal((n, n))
+            out.append(a + a.T)
+        elif kind == "diag":
+            out.append(np.diag(rng.standard_normal(n)))
+        else:
+            out.append(np.zeros((n, n)))
+    return np.array(out)
+
+
+def random_pd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def schur_program(rng):
+    """Blocks covering every row mix and row-set shape _schur distinguishes."""
+    n_rows = 40
+    spec = [
+        # contiguous rows: elementary, dense, diagonal and zero rows mixed
+        (_ipm.PSD, 6, np.arange(0, 12), ["elem", "dense", "elem", "diag", "zero", "elem",
+                                          "dense", "elem", "elem", "diag", "elem", "zero"]),
+        # non-contiguous rows, elementary only (n = 20: diagonal rows are dense)
+        (_ipm.PSD, 20, np.array([3, 5, 12, 13, 30, 39]), ["elem", "zero", "elem", "elem", "elem", "elem"]),
+        # non-contiguous rows; diagonal rows above the dense threshold
+        (_ipm.PSD, 20, np.array([1, 2, 7, 14, 15, 22, 31]), ["diag", "elem", "dense", "elem", "diag", "zero", "elem"]),
+        # diagonal-only rows below the threshold, contiguous
+        (_ipm.PSD, 4, np.arange(20, 26), ["diag"] * 6),
+        # all-zero rows
+        (_ipm.PSD, 3, np.arange(26, 29), ["zero"] * 3),
+        # nonnegative block, non-contiguous rows
+        (_ipm.NONNEG, 5, np.array([0, 8, 16, 33, 38]), None),
+    ]
+    blocks, rows, coeff, w = [], [], [], []
+    for kind, dim, r, kinds in spec:
+        blocks.append(_ipm.Block(kind, dim))
+        rows.append(r)
+        if kind == _ipm.PSD:
+            coeff.append(mixed_rows(rng, dim, kinds))
+            w.append(random_pd(rng, dim))
+        else:
+            coeff.append(rng.standard_normal((r.size, dim)) * (rng.random((r.size, dim)) < 0.6))
+            w.append(rng.random(dim) + 0.1)
+    prog = _ipm.ConeProgram(blocks=blocks, c=[None] * len(blocks), a_rows=rows, a_coeff=coeff,
+                            b=np.zeros(n_rows))
+    ops = [_ipm._BlockA(blk, r, c) for blk, r, c in zip(blocks, rows, coeff)]
+    return prog, ops, SimpleNamespace(w=w)
+
+
+class TestSchurAssembly:
+    def test_gram_equals_plain_formula_bitwise(self, rng):
+        for _ in range(3):
+            prog, ops, nt = schur_program(rng)
+            for op, blk, w in zip(ops, prog.blocks, nt.w):
+                if blk.kind == _ipm.PSD:
+                    assert np.array_equal(op.gram(w), reference_gram(op, w))
+
+    def test_schur_equals_plain_formula_bitwise(self, rng):
+        for _ in range(3):
+            prog, ops, nt = schur_program(rng)
+            # contiguous and scattered row sets, elementary-only and mixed blocks
+            assert {isinstance(op.schur_index[0], slice) for op in ops} == {True, False}
+            psd = [op for op in ops if op.is_psd]
+            assert any(op.dense_stack is None for op in psd)
+            assert any(op.dense_stack is not None and op.slot_col is not None for op in psd)
+            assert np.array_equal(_ipm._schur(ops, prog, nt), reference_schur(ops, prog, nt))
+
+    def test_gram_matches_trace_formula(self, rng):
+        prog, ops, nt = schur_program(rng)
+        op, w = ops[0], nt.w[0]
+        c = prog.a_coeff[0]
+        want = np.einsum("rab,bc,scd,da->rs", c, w, c, w)
+        assert np.allclose(op.gram(w), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestTermination:
+    def test_normal_exits_are_named(self):
+        sol = solve(scalar_lower_bound_problem())
+        assert (sol.status, sol.termination) in (("Optimal", "target_tol"), ("Optimal", "no_progress"))
+        sol = solve(single_user_trace_inverse_problem(), SolveOptions(max_iter=3, tol=1e-12, target_tol=1e-14))
+        assert (sol.status, sol.termination) == ("MaxIter", "max_iter")
+
+    def test_rays_are_named(self):
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.set_objective({"X": np.eye(1, dtype=complex)})
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, sense=">=", rhs=2.0)
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, sense="<=", rhs=1.0)
+        assert solve(p).termination == "dual_ray"
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.set_objective({"X": -np.eye(1, dtype=complex)})
+        p.add_constraint({"X": np.zeros((1, 1), dtype=complex)}, sense="==", rhs=0.0)
+        assert solve(p).termination == "primal_ray"
+
+    def test_schur_failure_is_named_and_status_unchanged(self, monkeypatch):
+        class Failing:
+            def __init__(self, *args):
+                raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(_ipm, "_SchurSolver", Failing)
+        sol = solve(single_user_trace_inverse_problem())
+        assert sol.termination == "schur_failure"
+        assert sol.status == "MaxIter"
+        assert sol.iterations == 1
