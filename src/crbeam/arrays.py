@@ -53,9 +53,15 @@ class ExtendedTarget:
         return ExtendedTarget(response=g)
 
 
-def steering(theta: float, n: int) -> np.ndarray:
-    """Center-referenced steering vector: entry m is exp(j*pi*(m-(n-1)/2)*sin(theta))."""
+def steering(theta, n: int) -> np.ndarray:
+    """Center-referenced steering vector: entry m is exp(j*pi*(m-(n-1)/2)*sin(theta)).
+
+    A 1-D array of angles gives an (n, len(theta)) matrix, one column per
+    angle, each bit-identical to the scalar call.
+    """
     m = np.arange(n) - (n - 1) / 2
+    if np.ndim(theta):
+        m = m[:, None]
     return np.exp(1j * np.pi * m * np.sin(theta))
 
 
@@ -70,6 +76,13 @@ def steering_deriv(theta: float, n: int) -> np.ndarray:
 def steering_deriv_norm_sq(theta: float, n: int) -> float:
     """Closed form for ||da/dtheta||^2 = cos^2(theta) * pi^2 * n(n^2-1)/12."""
     return float(np.cos(theta) ** 2 * np.pi**2 * n * (n**2 - 1) / 12)
+
+
+def point_terms(theta: float, geometry: ArrayGeometry):
+    """Point-target Fisher terms (a, da, ||b||^2 = N_r, ||db||^2) at angle ``theta``."""
+    a, ad = steering(theta, geometry.n_tx), steering_deriv(theta, geometry.n_tx)
+    bd = steering_deriv(theta, geometry.n_rx)
+    return a, ad, float(geometry.n_rx), float(np.real(bd.conj() @ bd))
 
 
 def response_point(target: PointTarget, geometry: ArrayGeometry) -> np.ndarray:

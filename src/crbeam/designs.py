@@ -8,14 +8,12 @@ per-user beamformers plus an auxiliary probing beamformer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, PointTarget, steering, steering_deriv
+from .arrays import ArrayGeometry, PointTarget, point_terms, steering
 from .errors import (
-    DegenerateChannel,
     Infeasible,
     NotPSD,
     RankExcess,
@@ -71,11 +69,9 @@ def design_point_single(
         perp_norm = np.linalg.norm(a_perp)
         if perp_norm <= 1e-10 * np.linalg.norm(a):
             # h1 parallel to a: the two-vector span collapses; the scaled
-            # steering vector is feasible here (boundary case included).
-            if gamma1 * sigma_c2 <= p_t * h_norm2:
-                w1 = np.sqrt(p_t) * a / np.linalg.norm(a)
-            else:
-                raise DegenerateChannel("channel parallel to steering vector and SINR unreachable")
+            # steering vector is feasible here (boundary case included), since
+            # the Infeasible check above rules out gamma1 sigma_c2 > p_t ||h1||^2.
+            w1 = np.sqrt(p_t) * a / np.linalg.norm(a)
         else:
             a_u = a_perp / perp_norm
             u1_a = u1.conj() @ a
@@ -187,10 +183,7 @@ def build_point_sdp(scenario: Scenario) -> SdpProblem:
     if not isinstance(target, PointTarget):
         raise ValueError("point design needs a PointTarget scenario")
     n_t, k = geom.n_tx, scenario.n_users
-    a = steering(target.theta, n_t)
-    ad = steering_deriv(target.theta, n_t)
-    nb2 = float(geom.n_rx)
-    nbd2 = float(np.real(steering_deriv(target.theta, geom.n_rx).conj() @ steering_deriv(target.theta, geom.n_rx)))
+    a, ad, nb2, nbd2 = point_terms(target.theta, geom)
 
     add = nbd2 * np.outer(a, a.conj()) + nb2 * np.outer(ad, ad.conj())   # A^H A derivative part
     aa = nb2 * np.outer(a, a.conj())
@@ -281,7 +274,6 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     duals = _point_duals(scenario, sol)
 
     beamformers = np.zeros((scenario.geometry.n_tx, k), dtype=complex)
-    ratios = []
     factors = [_rank_one_factor(w) for w in w_blocks]
     ratios = [f[1] for f in factors]
     if any(r > RANK_ONE_RATIO for r in ratios):

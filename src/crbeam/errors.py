@@ -33,10 +33,6 @@ class Infeasible(CrbeamError):
         self.certificate = certificate
 
 
-class DegenerateChannel(CrbeamError):
-    pass
-
-
 class RankExcess(CrbeamError):
     """SDR solution has a beamformer block of rank > 1 outside the repairable case."""
 

@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arrays import ArrayGeometry, ExtendedTarget, PointTarget, steering, steering_deriv
+from .arrays import ArrayGeometry, ExtendedTarget, PointTarget, point_terms, steering
 from .errors import DimensionMismatch, SingularCovariance, SingularFIM
 from .numerics import assert_hermitian, hermitize
 
@@ -76,14 +76,13 @@ class DesignSolution:
         return float(np.real(np.trace(self.covariance)))
 
 
-def _point_traces(r_x: np.ndarray, theta: float, geometry: ArrayGeometry):
-    """The three trace inner products, factored through a/b steering terms."""
-    a = steering(theta, geometry.n_tx)
-    ad = steering_deriv(theta, geometry.n_tx)
-    b = steering(theta, geometry.n_rx)
-    bd = steering_deriv(theta, geometry.n_rx)
-    nb2 = float(np.real(b.conj() @ b))
-    nbd2 = float(np.real(bd.conj() @ bd))
+def point_traces(r_x: np.ndarray, theta: float, geometry: ArrayGeometry):
+    """Point-target traces tr(A^H A R_X), tr(dA^H A R_X), tr(dA^H dA R_X).
+
+    A = b a^H and dA is its angle derivative; each trace is factored
+    through the terms of :func:`~crbeam.arrays.point_terms`.
+    """
+    a, ad, nb2, nbd2 = point_terms(theta, geometry)
     t_aa = nb2 * float(np.real(a.conj() @ r_x @ a))
     t_da = nb2 * complex(a.conj() @ r_x @ ad)
     t_dd = nbd2 * float(np.real(a.conj() @ r_x @ a)) + nb2 * float(np.real(ad.conj() @ r_x @ ad))
@@ -91,7 +90,7 @@ def _point_traces(r_x: np.ndarray, theta: float, geometry: ArrayGeometry):
 
 
 def _fim_bracket(r_x, theta, geometry):
-    t_aa, t_da, t_dd = _point_traces(r_x, theta, geometry)
+    t_aa, t_da, t_dd = point_traces(r_x, theta, geometry)
     bracket = t_dd * t_aa - abs(t_da) ** 2
     if bracket <= 1e-12 * abs(t_dd * t_aa):
         raise SingularFIM(
@@ -167,7 +166,7 @@ def sinr_extended(solution: DesignSolution, k: int, scenario: Scenario) -> float
 def beampattern(r_x: np.ndarray, theta_grid: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     """Transmit power a(theta)^H R_X a(theta) over a grid of angles (rad)."""
     assert_hermitian(r_x, what="R_X")
-    a = np.column_stack([steering(t, geometry.n_tx) for t in np.atleast_1d(theta_grid)])
+    a = steering(np.atleast_1d(theta_grid), geometry.n_tx)
     return np.real(np.einsum("ig,ig->g", a.conj(), r_x @ a))
 
 

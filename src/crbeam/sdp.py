@@ -84,9 +84,9 @@ class SdpProblem:
         for c in self.constraints:
             if c.sense not in SENSES:
                 raise ValueError(f"unknown sense {c.sense!r}")
-            for s in list(c.scalar_coeffs) + list(self.objective_scalars):
-                if s not in self.free_scalars:
-                    raise KeyError(f"unknown scalar {s!r}")
+        for name in [s for c in self.constraints for s in c.scalar_coeffs] + list(self.objective_scalars):
+            if name not in self.free_scalars:
+                raise KeyError(f"unknown scalar {name!r}")
 
 
 @dataclass

@@ -1,13 +1,12 @@
 """Signal-level simulation: stream synthesis, echoes, ML estimation, Monte Carlo.
 
 Per-trial randomness is derived from a single experiment seed through
-``numpy.random.SeedSequence`` spawning, so a parallel map over trials
-and a serial loop produce bit-identical statistics.
+``numpy.random.SeedSequence`` spawning: trial i draws only from child i,
+so a run's statistics depend on the seed and the trial count alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -73,12 +72,6 @@ class GridSpec:
         return self.center + self.step * np.arange(-n, n + 1)
 
 
-def steering_grid(angles: np.ndarray, n: int) -> np.ndarray:
-    """Steering vectors for many angles at once, one column per angle."""
-    m = np.arange(n) - (n - 1) / 2
-    return np.exp(1j * np.pi * np.outer(m, np.sin(angles)))
-
-
 class PointMle:
     """Concentrated-likelihood grid search for (theta, alpha), reusable across trials.
 
@@ -92,7 +85,7 @@ class PointMle:
     @staticmethod
     def basis(grid: GridSpec, geometry: ArrayGeometry):
         angles = grid.angles()
-        return angles, steering_grid(angles, geometry.n_tx), steering_grid(angles, geometry.n_rx)
+        return angles, steering(angles, geometry.n_tx), steering(angles, geometry.n_rx)
 
     def __init__(self, tx: np.ndarray, grid: GridSpec, geometry: ArrayGeometry, basis=None):
         self.tx = tx
@@ -155,17 +148,9 @@ def mle_extended(y: np.ndarray, tx: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, tx @ y.conj().T).conj().T
 
 
-def _trial_seeds(seed: int, trials: int):
-    return np.random.SeedSequence(seed).spawn(trials)
-
-
-def _map_trials(fn, trials: int, seed: int, n_jobs: int = 1):
-    """Deterministic-partition map: results ordered by trial index."""
-    seeds = _trial_seeds(seed, trials)
-    if n_jobs <= 1:
-        return [fn(i, np.random.default_rng(seeds[i])) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(lambda i: fn(i, np.random.default_rng(seeds[i])), range(trials)))
+def _map_trials(fn, trials: int, seed: int):
+    """``fn(rng)`` for each trial in order, trial i's rng drawn from spawned child i."""
+    return [fn(np.random.default_rng(child)) for child in np.random.SeedSequence(seed).spawn(trials)]
 
 
 def monte_carlo_point(
@@ -174,7 +159,6 @@ def monte_carlo_point(
     trials: int,
     seed: int,
     grid: Optional[GridSpec] = None,
-    n_jobs: int = 1,
 ) -> dict:
     """RMSE of the grid ML estimates vs the angle CRB for a fixed point design."""
     target = scenario.target
@@ -186,7 +170,7 @@ def monte_carlo_point(
     crb = crb_point_theta(r_x, target.theta, target.alpha, scenario)
     basis = PointMle.basis(grid, scenario.geometry)
 
-    def one(i, rng):
+    def one(rng):
         s = gen_streams(k, scenario.frame_len, rng)
         x = synth_tx(beamformers, s)
         y = radar_echo(x, target, scenario.noise_radar, scenario.geometry, rng)
@@ -194,7 +178,7 @@ def monte_carlo_point(
         theta_hat, alpha_hat = est.estimate(y)
         return (theta_hat - target.theta) ** 2, abs(alpha_hat - target.alpha) ** 2
 
-    errs = np.array(_map_trials(one, trials, seed, n_jobs))
+    errs = np.array(_map_trials(one, trials, seed))
     rmse_theta = float(np.sqrt(np.mean(errs[:, 0])))
     return {
         "trials": trials,
@@ -213,7 +197,6 @@ def monte_carlo_extended(
     aux_beamformer: np.ndarray,
     trials: int,
     seed: int,
-    n_jobs: int = 1,
 ) -> dict:
     """Mean squared error of the linear response estimate vs its CRB."""
     stacked = np.hstack([beamformers, aux_beamformer])
@@ -221,7 +204,7 @@ def monte_carlo_extended(
     crb = crb_extended(r_x, scenario)
     n_streams = stacked.shape[1]
 
-    def one(i, rng):
+    def one(rng):
         target = ExtendedTarget.random(scenario.geometry, rng)
         s = gen_streams(n_streams, scenario.frame_len, rng)
         x = synth_tx(stacked, s)
@@ -229,7 +212,7 @@ def monte_carlo_extended(
         g_hat = mle_extended(y, x)
         return float(np.linalg.norm(g_hat - target.response) ** 2)
 
-    sq = np.array(_map_trials(one, trials, seed, n_jobs))
+    sq = np.array(_map_trials(one, trials, seed))
     mse = float(np.mean(sq))
     return {
         "trials": trials,

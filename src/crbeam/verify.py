@@ -16,10 +16,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, steering, steering_deriv, steering_deriv_norm_sq
+from .arrays import ArrayGeometry, point_terms, steering, steering_deriv, steering_deriv_norm_sq
 from .errors import DegenerateDenominator
-from .metrics import DesignSolution, Scenario
-from .numerics import hermitize, min_eig, numeric_rank
+from .metrics import DesignSolution, Scenario, point_traces
+from .numerics import hermitize, min_eig
 
 
 @dataclass
@@ -52,18 +52,6 @@ class KktReport:
         return "\n".join(lines)
 
 
-def _lmi_entries(r_x: np.ndarray, theta: float, geometry: ArrayGeometry):
-    a = steering(theta, geometry.n_tx)
-    ad = steering_deriv(theta, geometry.n_tx)
-    bd = steering_deriv(theta, geometry.n_rx)
-    nb2 = float(geometry.n_rx)
-    nbd2 = float(np.real(bd.conj() @ bd))
-    t_aa = nb2 * float(np.real(a.conj() @ r_x @ a))
-    t_da = nb2 * complex(a.conj() @ r_x @ ad)
-    t_dd = nbd2 * float(np.real(a.conj() @ r_x @ a)) + nb2 * float(np.real(ad.conj() @ r_x @ ad))
-    return t_aa, t_da, t_dd
-
-
 def check_schur(
     r_x: np.ndarray, theta: float, geometry: ArrayGeometry, bisect_tol: float = 1e-13
 ) -> Tuple[float, float]:
@@ -72,7 +60,7 @@ def check_schur(
     Returns ``(t_from_lmi_bisection, t_closed_form)``; the closed form is
     the Schur complement t = tr_dd - |tr_da|^2 / tr_aa.
     """
-    t_aa, t_da, t_dd = _lmi_entries(r_x, theta, geometry)
+    t_aa, t_da, t_dd = point_traces(r_x, theta, geometry)
     if t_aa <= 1e-14 * max(1.0, abs(t_dd)):
         raise DegenerateDenominator(f"tr(A^H A R) = {t_aa:.3e} too small for the Schur form")
     t_closed = t_dd - abs(t_da) ** 2 / t_aa
@@ -99,11 +87,7 @@ def gradient_matrix_f(
     geometry: ArrayGeometry, theta: float, beta: complex, phi: float = 1.0
 ) -> np.ndarray:
     """Rank-2 gradient matrix of the LMI term, parameterized by the dual block."""
-    a = steering(theta, geometry.n_tx)
-    ad = steering_deriv(theta, geometry.n_tx)
-    bd = steering_deriv(theta, geometry.n_rx)
-    nb2 = float(geometry.n_rx)
-    nbd2 = float(np.real(bd.conj() @ bd))
+    a, ad, nb2, nbd2 = point_terms(theta, geometry)
     gamma = abs(beta) ** 2
     f = (phi * nbd2 + gamma * nb2) * np.outer(a, a.conj())
     f = f + phi * nb2 * np.outer(ad, ad.conj())
@@ -229,7 +213,7 @@ def check_kkt_point(
     z_p = np.array([[phi, beta], [np.conj(beta), gamma]])
     report.dual_feasibility["Z_P"] = min_eig(z_p) / max(1.0, float(np.linalg.norm(z_p)))
     r_x = hermitize(sum(w_blocks))
-    t_aa, t_da, t_dd = _lmi_entries(r_x, target.theta, scenario.geometry)
+    t_aa, t_da, t_dd = point_traces(r_x, target.theta, scenario.geometry)
     t_star = solution.diagnostics.get("t_star")
     if t_star is not None:
         p_mat = np.array([[t_dd - t_star, t_da], [np.conj(t_da), t_aa]])

@@ -5,6 +5,7 @@ from crbeam.arrays import (
     ArrayGeometry,
     ExtendedTarget,
     PointTarget,
+    point_terms,
     response_extended,
     response_point,
     steering,
@@ -28,6 +29,14 @@ class TestSteering:
         a = steering(theta, n)
         assert np.abs(a.conj() @ a - n) <= 1e-12 * n
         assert np.allclose(np.abs(a), 1.0)
+
+    @pytest.mark.parametrize("center_deg", [0.0, 10.0])
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_angle_array_stacks_scalar_columns(self, center_deg, n):
+        angles = np.deg2rad(center_deg + 0.05 * np.arange(-200, 201))
+        grid = steering(angles, n)
+        assert grid.shape == (n, angles.size)
+        assert np.array_equal(grid, np.column_stack([steering(t, n) for t in angles]))
 
 
 class TestSteeringDeriv:
@@ -69,6 +78,14 @@ class TestSteeringDeriv:
         direct = np.cos(theta) ** 2 * np.pi**2 * np.sum(m**2)
         assert np.real(d.conj() @ d) == pytest.approx(direct, rel=1e-12)
         assert steering_deriv_norm_sq(theta, n) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_point_terms(self, theta):
+        a, ad, nb2, nbd2 = point_terms(theta, ArrayGeometry(16, 20))
+        assert np.array_equal(a, steering(theta, 16))
+        assert np.array_equal(ad, steering_deriv(theta, 16))
+        assert nb2 == 20.0
+        assert nbd2 == pytest.approx(steering_deriv_norm_sq(theta, 20), rel=1e-12)
 
 
 class TestResponses:

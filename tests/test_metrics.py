@@ -14,6 +14,7 @@ from crbeam.metrics import (
     db_to_linear,
     dbm_to_mw,
     fim_extended,
+    point_traces,
     radar_alpha_from_snr,
     sinr_extended,
     sinr_point,
@@ -41,6 +42,20 @@ def crb_oracle(r_x, theta, alpha, sigma_r2, frame_len, n_tx, n_rx):
     crb_theta = sigma_r2 * np.real(t_aa) / (2 * abs(alpha) ** 2 * frame_len * denom)
     crb_alpha = sigma_r2 * np.real(t_dd) / (frame_len * denom)
     return crb_theta, crb_alpha
+
+
+def point_traces_reference(r_x, theta, geometry):
+    """The trace kernel as it stood with ||b||^2 = Re(b^H b) instead of N_r."""
+    a = steering(theta, geometry.n_tx)
+    ad = steering_deriv(theta, geometry.n_tx)
+    b = steering(theta, geometry.n_rx)
+    bd = steering_deriv(theta, geometry.n_rx)
+    nb2 = float(np.real(b.conj() @ b))
+    nbd2 = float(np.real(bd.conj() @ bd))
+    t_aa = nb2 * float(np.real(a.conj() @ r_x @ a))
+    t_da = nb2 * complex(a.conj() @ r_x @ ad)
+    t_dd = nbd2 * float(np.real(a.conj() @ r_x @ a)) + nb2 * float(np.real(ad.conj() @ r_x @ ad))
+    return t_aa, t_da, t_dd
 
 
 class TestPointCrb:
@@ -104,6 +119,19 @@ class TestPointCrb:
         assert np.real(np.trace(big_d.conj().T @ big_d @ r_x)) == pytest.approx(
             nbd2 * np.real(a.conj() @ r_x @ a) + nb2 * np.real(da.conj() @ r_x @ da), rel=1e-10
         )
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.8, 1.2])
+    def test_point_traces_match_reference(self, rng, theta):
+        # ||b||^2 = N_r exactly; Re(b^H b) equals it at broadside and is
+        # within a few ulp of it elsewhere
+        geom = ArrayGeometry(16, 20)
+        r_x = random_psd(rng, 16, scale=10.0)
+        got = point_traces(r_x, theta, geom)
+        want = point_traces_reference(r_x, theta, geom)
+        if theta == 0.0:
+            assert got == want
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
 
     def test_links_to_schur_complement_value(self, rng):
         # the bound equals sigma^2 / (2 |alpha|^2 L t*) with t* the largest
@@ -248,6 +276,14 @@ class TestBeampattern:
             a = steering(t, 5)
             assert val == pytest.approx(np.real(a.conj() @ r_x @ a), rel=1e-12)
         assert np.all(p >= 0)
+
+    def test_matches_per_angle_reference(self, rng):
+        geom = ArrayGeometry(16, 20)
+        r_x = random_psd(rng, 16)
+        grid = np.deg2rad(np.arange(-90.0, 90.0 + 1e-9, 0.5))
+        a = np.column_stack([steering(t, 16) for t in grid])
+        reference = np.real(np.einsum("ig,ig->g", a.conj(), r_x @ a))
+        assert np.array_equal(beampattern(r_x, grid, geom), reference)
 
 
 class TestScenario:

@@ -177,6 +177,14 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(p)
 
+    def test_undeclared_objective_scalar_without_constraints(self):
+        # with no constraints the check must still see the objective's scalars
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.set_objective({"X": np.eye(1, dtype=complex)}, scalar_coeffs={"t": 1.0})
+        with pytest.raises(KeyError):
+            p.validate()
+
 
 class TestCertificate:
     def test_hand_built_optimal_pair(self):

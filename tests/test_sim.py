@@ -153,16 +153,6 @@ class TestPointMle:
         r2 = monte_carlo_point(scen, sol.comm_beamformers, 50, 31)
         assert r1 == r2
 
-    def test_parallel_map_matches_serial(self, rng):
-        scen = make_scenario(rng, k=2, n_tx=8, n_rx=10)
-        scen.target = PointTarget(0.0, radar_alpha_from_snr(db_to_linear(25.0), scen))
-        from crbeam.designs import design_point_multi
-
-        sol = design_point_multi(scen)
-        serial = monte_carlo_point(scen, sol.comm_beamformers, 40, 5, n_jobs=1)
-        parallel = monte_carlo_point(scen, sol.comm_beamformers, 40, 5, n_jobs=4)
-        assert serial == parallel
-
 
 class TestExtendedMle:
     def test_noiseless_exact(self, rng):
