@@ -2,13 +2,14 @@
 
 Solves
 
-    minimize    <c, x>
-    subject to  A x = b,   x in K,
+    minimize    <c, x> + c_f^T x_f
+    subject to  A x + A_f x_f = b,   x in K,
 
-where ``K`` is a product of real symmetric PSD blocks, a nonnegative
-vector block and a free vector block.  The method is path following with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step; free
-variables enter the Newton system through an augmented Schur complement.
+where ``K`` is a product of real symmetric PSD blocks and a nonnegative
+vector block, and the free variables x_f enter through the dense columns
+A_f (a matrix with no columns when there are none).  The method is path
+following with Nesterov-Todd scaling and a Mehrotra predictor-corrector
+step; the free columns border the Newton system's Schur complement.
 
 Complex Hermitian blocks are handled one layer up (:mod:`crbeam.sdp`)
 through the real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``.
@@ -26,13 +27,13 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-PSD, NONNEG, FREE = "psd", "nonneg", "free"
+PSD, NONNEG = "psd", "nonneg"
 
 # Why solve_cone_program stopped.  The status says what the reported
 # (best) iterate achieves; the termination says which exit was taken, so
@@ -59,7 +60,7 @@ class Block:
     embed_dim: Optional[int] = None  # complex dimension when this PSD block is an embedding
 
     def __post_init__(self):
-        if self.kind not in (PSD, NONNEG, FREE):
+        if self.kind not in (PSD, NONNEG):
             raise ValueError(f"unknown block kind {self.kind}")
         if self.kind == PSD and self.embed_dim is not None and 2 * self.embed_dim != self.dim:
             raise ValueError("embedded PSD block must have dim = 2 * embed_dim")
@@ -74,19 +75,22 @@ class ConeProgram:
     a_rows: List[Optional[np.ndarray]]        # per block: row indices with a nonzero coefficient
     a_coeff: List[Optional[np.ndarray]]       # per block: (r, n, n) or (r, n) coefficient stack
     b: np.ndarray
+    c_free: np.ndarray                        # (n_free,) objective of the free variables
+    a_free: np.ndarray                        # (n_rows, n_free) their constraint columns
 
     @property
     def n_rows(self) -> int:
         return self.b.shape[0]
 
     def barrier_degree(self) -> int:
-        return sum(blk.dim for blk in self.blocks if blk.kind in (PSD, NONNEG))
+        return sum(blk.dim for blk in self.blocks)
 
 
 @dataclass
 class IpmResult:
     status: str                              # Optimal | Infeasible | Unbounded | MaxIter
     x: List[np.ndarray]
+    x_free: np.ndarray
     y: np.ndarray
     z: List[np.ndarray]
     pobj: float
@@ -212,12 +216,12 @@ class _BlockA:
         return _sym(self.mat @ u_t)
 
 
-def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray]) -> np.ndarray:
+def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xf: np.ndarray) -> np.ndarray:
     out = np.zeros(prog.n_rows)
     for j, op in enumerate(ops):
         if op is not None:
             out[op.rows] += op.apply(x[j])
-    return out
+    return out + prog.a_free @ xf
 
 
 def _apply_at(ops, prog: ConeProgram, y: np.ndarray) -> List[np.ndarray]:
@@ -276,16 +280,11 @@ class _NTScaling:
                 self.ginv.append(ginv)
                 self.w.append(_sym(g @ g.T))
                 self.lam.append(s)
-            elif blk.kind == NONNEG:
+            else:
                 self.g.append(np.sqrt(xb / zb))
                 self.ginv.append(None)
                 self.w.append(xb / zb)
                 self.lam.append(np.sqrt(xb * zb))
-            else:
-                self.g.append(None)
-                self.ginv.append(None)
-                self.w.append(None)
-                self.lam.append(None)
 
     def apply(self, j: int, v: np.ndarray, blocks) -> np.ndarray:
         """H_j(v) = W v W for PSD, w^2 * v for nonneg."""
@@ -298,7 +297,7 @@ def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
     m = np.zeros((prog.n_rows, prog.n_rows))
     for j, blk in enumerate(prog.blocks):
         op = ops[j]
-        if op is None or blk.kind == FREE:
+        if op is None:
             continue
         if blk.kind == PSD:
             m[op.schur_index] += op.gram(nt.w[j])
@@ -308,21 +307,10 @@ def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
     return _sym(m)
 
 
-def _free_block(prog: ConeProgram) -> Optional[Tuple[int, np.ndarray]]:
-    for j, blk in enumerate(prog.blocks):
-        if blk.kind == FREE:
-            af = np.zeros((prog.n_rows, blk.dim))
-            rows, coeff = prog.a_rows[j], prog.a_coeff[j]
-            if rows is not None and rows.size:
-                af[rows, :] = coeff
-            return j, af
-    return None
-
-
 class _SchurSolver:
     """Factorization of [[M, A_f], [A_f^T, 0]] with one step of iterative refinement."""
 
-    def __init__(self, m: np.ndarray, af: Optional[np.ndarray]):
+    def __init__(self, m: np.ndarray, af: np.ndarray):
         self.m = m
         self.af = af
         jitter = 0.0
@@ -335,28 +323,22 @@ class _SchurSolver:
                 jitter = max(jitter * 100.0, 1e-14 * base)
         else:
             raise np.linalg.LinAlgError("Schur complement factorization failed")
-        if af is not None:
-            self.t = sla.cho_solve(self.chol, af)
-            s = af.T @ self.t
-            self.s = _sym(s) + 1e-300 * np.eye(s.shape[0])
+        self.t = sla.cho_solve(self.chol, af)
+        s = af.T @ self.t
+        self.s = _sym(s) + 1e-300 * np.eye(s.shape[0])
 
-    def _solve_once(self, rhs: np.ndarray, rhs_free: Optional[np.ndarray]):
+    def _solve_once(self, rhs: np.ndarray, rhs_free: np.ndarray):
         u = sla.cho_solve(self.chol, rhs)
-        if self.af is None:
-            return u, None
         dxf = np.linalg.solve(self.s, self.af.T @ u - rhs_free)
         return u - self.t @ dxf, dxf
 
-    def solve(self, rhs: np.ndarray, rhs_free: Optional[np.ndarray]):
+    def solve(self, rhs: np.ndarray, rhs_free: np.ndarray):
         dy, dxf = self._solve_once(rhs, rhs_free)
         # one refinement pass against the augmented system
-        r1 = rhs - self.m @ dy - (self.af @ dxf if self.af is not None else 0.0)
-        r2 = rhs_free - self.af.T @ dy if self.af is not None else None
+        r1 = rhs - self.m @ dy - self.af @ dxf
+        r2 = rhs_free - self.af.T @ dy
         e1, e2 = self._solve_once(r1, r2)
-        dy = dy + e1
-        if self.af is not None:
-            dxf = dxf + e2
-        return dy, dxf
+        return dy + e1, dxf + e2
 
 
 def solve_cone_program(
@@ -388,7 +370,12 @@ def solve_cone_program(
             continue
         axes = (1, 2) if blk.kind == PSD else 1
         np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=axes)))
+    row_scale = np.maximum(row_scale, np.sqrt(np.sum(prog.a_free**2, axis=1)))
     row_scale = np.maximum(row_scale, 1e-12)
+    # free-column equilibration balances t-like variables against the blocks;
+    # every free column has a nonzero (SdpProblem.validate)
+    a_free = prog.a_free / row_scale[:, np.newaxis]
+    col_scale = np.max(np.abs(a_free), axis=0, initial=0.0)
     prog = ConeProgram(
         blocks=prog.blocks,
         c=prog.c,
@@ -398,27 +385,10 @@ def solve_cone_program(
             for rows, coeff in zip(prog.a_rows, prog.a_coeff)
         ],
         b=prog.b / row_scale,
+        c_free=prog.c_free / col_scale,
+        a_free=a_free / col_scale,
     )
-
-    # -- free-column equilibration: balances t-like variables against blocks --
-    free_col_scale = None
-    for j, blk in enumerate(prog.blocks):
-        if blk.kind != FREE:
-            continue
-        rows, coeff = prog.a_rows[j], prog.a_coeff[j]
-        scale = np.ones(blk.dim)
-        if rows is not None and rows.size:
-            scale = np.maximum(np.max(np.abs(coeff), axis=0), 1e-12)
-            coeff = coeff / scale[np.newaxis, :]
-        free_col_scale = (j, scale)
-        cj = prog.c[j] / scale
-        prog = ConeProgram(
-            blocks=prog.blocks,
-            c=[cj if i == j else cb for i, cb in enumerate(prog.c)],
-            a_rows=prog.a_rows,
-            a_coeff=[coeff if i == j else cb for i, cb in enumerate(prog.a_coeff)],
-            b=prog.b,
-        )
+    af = prog.a_free
 
     ops = [
         _BlockA(blk, rows, coeff) if (rows is not None and rows.size) else None
@@ -427,12 +397,10 @@ def solve_cone_program(
 
     # -- scaling of the data ------------------------------------------------
     norm_b = max(1.0, float(np.max(np.abs(prog.b))) if m_rows else 1.0)
-    norm_c = max(1.0, max(float(np.max(np.abs(cb))) if cb.size else 0.0 for cb in prog.c))
+    norm_c = max(1.0, max(float(np.max(np.abs(cb))) if cb.size else 0.0 for cb in prog.c + [prog.c_free]))
     c_s = [cb / norm_c for cb in prog.c]
+    cf_s = prog.c_free / norm_c
     b_s = prog.b / norm_b
-
-    free_info = _free_block(prog)
-    free_j, af = (free_info if free_info is not None else (None, None))
 
     x = []
     z = []
@@ -440,40 +408,38 @@ def solve_cone_program(
         if blk.kind == PSD:
             x.append(np.eye(blk.dim))
             z.append(np.eye(blk.dim))
-        elif blk.kind == NONNEG:
+        else:
             x.append(np.ones(blk.dim))
             z.append(np.ones(blk.dim))
-        else:
-            x.append(np.zeros(blk.dim))
-            z.append(np.zeros(blk.dim))
+    xf = np.zeros(af.shape[1])
     y = np.zeros(m_rows)
 
     history: List[dict] = []
     best = None
     stall = 0
 
-    def residuals(x, y, z):
-        rp = b_s - _apply_a(ops, prog, x)
+    # sums over blocks take the free terms last; another order rounds differently
+    def residuals(x, xf, y, z):
+        rp = b_s - _apply_a(ops, prog, x, xf)
         aty = _apply_at(ops, prog, y)
-        rd = []
-        for j, blk in enumerate(blocks):
-            rd.append(c_s[j] - aty[j] - (z[j] if blk.kind != FREE else 0.0))
-        pobj = _inner(c_s, x)
+        rd = [c_s[j] - aty[j] - z[j] for j in range(len(blocks))]
+        rd_f = cf_s - af.T @ y
+        pobj = _inner(c_s + [cf_s], x + [xf])
         dobj = float(b_s @ y)
         res_p = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b_s)))
-        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / (
-            1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s)))
+        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd + [rd_f]))) / (
+            1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s + [cf_s])))
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, rd, pobj, dobj, res_p, res_d, gap
+        return rp, rd, rd_f, pobj, dobj, res_p, res_d, gap
 
-    def record_best(metric, x, y, z):
+    def record_best(metric, x, xf, y, z):
         nonlocal best
         if best is None or metric < best[0]:
-            best = (metric, [xb.copy() for xb in x], y.copy(), [zb.copy() for zb in z])
+            best = (metric, [xb.copy() for xb in x], xf.copy(), y.copy(), [zb.copy() for zb in z])
 
     def check_infeasible(yv):
-        """Dual improving ray: b^T y > 0 while -A^T y lies in the dual cone."""
+        """Dual improving ray: b^T y > 0, -A^T y in the dual cone and A_f^T y = 0."""
         ny = float(np.linalg.norm(yv))
         if ny < 1e-12:
             return None
@@ -489,24 +455,24 @@ def solve_cone_program(
             if blk.kind == PSD:
                 scale = max(scale, float(np.linalg.norm(zj)))
                 viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(zj))[0])))
-            elif blk.kind == NONNEG:
+            else:
                 scale = max(scale, float(np.max(np.abs(zj))) if zj.size else 0.0)
                 viol = max(viol, max(0.0, -float(np.min(zj))) if zj.size else 0.0)
-            else:
-                viol = max(viol, float(np.max(np.abs(zj))) if zj.size else 0.0)
+        viol = max(viol, float(np.max(np.abs(af.T @ yn), initial=0.0)))
         if viol <= 1e-9 * scale:
             return {"kind": "dual_ray", "y": yn, "improvement": improvement, "cone_violation": viol}
         return None
 
-    def check_unbounded(xv):
-        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv)))
+    def check_unbounded(xv, xfv):
+        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xfv])))
         if nx < 1e-12:
             return None
-        xr = [b / nx for b in xv]
-        if _inner(c_s, xr) > -infeas_tol:
+        xr, xfr = [b / nx for b in xv], xfv / nx
+        rate = _inner(c_s + [cf_s], xr + [xfr])
+        if rate > -infeas_tol:
             return None
-        if float(np.linalg.norm(_apply_a(ops, prog, xr))) <= 1e-9:
-            return {"kind": "primal_ray", "x": xr, "objective_rate": _inner(c_s, xr)}
+        if float(np.linalg.norm(_apply_a(ops, prog, xr, xfr))) <= 1e-9:
+            return {"kind": "primal_ray", "x": xr, "x_free": xfr, "objective_rate": rate}
         return None
 
     status, termination = "MaxIter", "max_iter"
@@ -514,11 +480,8 @@ def solve_cone_program(
     it = 0
     no_progress = 0
     for it in range(1, max_iter + 1):
-        rp, rd, pobj, dobj, res_p, res_d, gap = residuals(x, y, z)
-        mu = _inner(
-            [xb for xb, blk in zip(x, blocks) if blk.kind != FREE],
-            [zb for zb, blk in zip(z, blocks) if blk.kind != FREE],
-        ) / nu
+        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xf, y, z)
+        mu = _inner(x, z) / nu
         # at large objective magnitudes gap_rel bottoms out on cancellation noise;
         # mu is then the sharper complementarity measure
         mu_rel = abs(mu) * nu / (1.0 + abs(pobj) + abs(dobj))
@@ -527,7 +490,7 @@ def solve_cone_program(
             no_progress += 1
         else:
             no_progress = 0
-        record_best(metric, x, y, z)
+        record_best(metric, x, xf, y, z)
         history.append(
             {
                 "iter": it - 1,
@@ -553,7 +516,7 @@ def solve_cone_program(
                 status, termination, certificate = "Infeasible", "dual_ray", cert
                 break
         if it > 5:
-            cert = check_unbounded(x)
+            cert = check_unbounded(x, xf)
             if cert is not None:
                 status, termination, certificate = "Unbounded", "primal_ray", cert
                 break
@@ -567,21 +530,15 @@ def solve_cone_program(
 
         def newton(rc_blocks):
             rhs = rp.copy()
-            for j, blk in enumerate(blocks):
-                op = ops[j]
-                if op is None or blk.kind == FREE:
+            for j, op in enumerate(ops):
+                if op is None:
                     continue
                 hv = nt.apply(j, rd[j], blocks)
                 rhs[op.rows] -= op.apply(rc_blocks[j] - hv)
-            rhs_free = rd[free_j] if free_j is not None else None
-            dy, dxf = solver.solve(rhs, rhs_free)
+            dy, dxf = solver.solve(rhs, rd_f)
             aty = _apply_at(ops, prog, dy)
             dx, dz = [], []
             for j, blk in enumerate(blocks):
-                if blk.kind == FREE:
-                    dz.append(np.zeros(blk.dim))
-                    dx.append(dxf if dxf is not None else np.zeros(blk.dim))
-                    continue
                 dzj = rd[j] - aty[j]
                 if blk.kind == PSD:
                     dzj = _sym(dzj)
@@ -590,7 +547,7 @@ def solve_cone_program(
                     dxj = _sym(dxj)
                 dz.append(dzj)
                 dx.append(dxj)
-            return dx, dy, dz
+            return dx, dxf, dy, dz
 
         def max_steps(dx, dz):
             ap = ad = np.inf
@@ -598,30 +555,25 @@ def solve_cone_program(
                 if blk.kind == PSD:
                     ap = min(ap, _max_step_psd(x[j], dx[j]))
                     ad = min(ad, _max_step_psd(z[j], dz[j]))
-                elif blk.kind == NONNEG:
+                else:
                     ap = min(ap, _max_step_nonneg(x[j], dx[j]))
                     ad = min(ad, _max_step_nonneg(z[j], dz[j]))
             return ap, ad
 
         # predictor (affine) step
-        rc_aff = [(-x[j] if blocks[j].kind != FREE else None) for j in range(len(blocks))]
-        dx_a, dy_a, dz_a = newton(rc_aff)
+        dx_a, _, dy_a, dz_a = newton([-xb for xb in x])
         ap_a, ad_a = max_steps(dx_a, dz_a)
         ap_a, ad_a = min(1.0, step_frac * ap_a), min(1.0, step_frac * ad_a)
         gap_now = mu * nu
         gap_aff = 0.0
-        for j, blk in enumerate(blocks):
-            if blk.kind == FREE:
-                continue
+        for j in range(len(blocks)):
             gap_aff += float(np.sum((x[j] + ap_a * dx_a[j]) * (z[j] + ad_a * dz_a[j])))
         sigma = min(0.99, max(1e-10, (max(gap_aff, 0.0) / gap_now) ** 3))
 
         # corrector: scaled-space Mehrotra second-order term
         rc = []
         for j, blk in enumerate(blocks):
-            if blk.kind == FREE:
-                rc.append(None)
-            elif blk.kind == PSD:
+            if blk.kind == PSD:
                 g, ginv, lam = nt.g[j], nt.ginv[j], nt.lam[j]
                 d_x = ginv @ dx_a[j] @ ginv.T
                 d_z = g.T @ dz_a[j] @ g
@@ -631,8 +583,8 @@ def solve_cone_program(
                 rc.append(_sym(g @ rc_s @ g.T))
             else:
                 rc.append((sigma * mu - x[j] * z[j] - dx_a[j] * dz_a[j]) / z[j])
-        dx, dy, dz = newton(rc)
-        if any(not np.all(np.isfinite(d)) for d in dx) or not np.all(np.isfinite(dy)):
+        dx, dxf, dy, dz = newton(rc)
+        if any(not np.all(np.isfinite(d)) for d in dx + [dxf]) or not np.all(np.isfinite(dy)):
             termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dz)
@@ -647,8 +599,6 @@ def solve_cone_program(
 
         for j, blk in enumerate(blocks):
             x[j] = x[j] + ap * dx[j]
-            if blk.kind == FREE:
-                continue
             z[j] = z[j] + ad * dz[j]
             if blk.kind == PSD:
                 x[j] = _sym(x[j])
@@ -656,34 +606,31 @@ def solve_cone_program(
                 if blk.embed_dim is not None:
                     x[j] = _embed_project(x[j], blk.embed_dim)
                     z[j] = _embed_project(z[j], blk.embed_dim)
+        xf = xf + ap * dxf
         y = y + ad * dy
 
     if status in ("MaxIter", "Optimal") and best is not None:
         # report the best iterate seen (current one, unless we stalled past it)
-        _, bx, by, bz = best
-        rp, rd, pobj, dobj, res_p, res_d, gap = residuals(bx, by, bz)
+        _, bx, bxf, by, bz = best
+        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(bx, bxf, by, bz)
         metric = max(res_p, res_d, gap)
         if status != "Optimal" and metric <= tol:
             status = "Optimal"
-        x, y, z = bx, by, bz
+        x, xf, y, z = bx, bxf, by, bz
     else:
-        rp, rd, pobj, dobj, res_p, res_d, gap = residuals(x, y, z)
+        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xf, y, z)
 
     # undo data scaling (row equilibration folds into the multipliers)
-    x_out = [xb * norm_b for xb in x]
-    if free_col_scale is not None:
-        jf, col_scale = free_col_scale
-        x_out[jf] = x_out[jf] / col_scale
     y_out = y * norm_c / row_scale
-    z_out = [zb * norm_c for zb in z]
     if certificate is not None and "y" in certificate:
         certificate = dict(certificate)
         certificate["y"] = certificate["y"] / row_scale
     return IpmResult(
         status=status,
-        x=x_out,
+        x=[xb * norm_b for xb in x],
+        x_free=xf * norm_b / col_scale,
         y=y_out,
-        z=z_out,
+        z=[zb * norm_c for zb in z],
         pobj=pobj * norm_b * norm_c,
         dobj=dobj * norm_b * norm_c,
         res_primal=res_p,

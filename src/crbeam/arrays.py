@@ -65,11 +65,16 @@ def steering(theta, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * m * np.sin(theta))
 
 
-def steering_deriv(theta: float, n: int) -> np.ndarray:
-    """Angle derivative of :func:`steering`; orthogonal to it by center symmetry."""
+def steering_deriv(theta, n: int) -> np.ndarray:
+    """Angle derivative of :func:`steering`; orthogonal to it by center symmetry.
+
+    Takes one angle or a 1-D array of angles, as :func:`steering` does.
+    """
     if n < 2:
         raise ValueError("derivative needs n >= 2")
     m = np.arange(n) - (n - 1) / 2
+    if np.ndim(theta):
+        m = m[:, None]
     return 1j * np.pi * m * np.cos(theta) * steering(theta, n)
 
 

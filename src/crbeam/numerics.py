@@ -100,13 +100,3 @@ def numeric_rank(M: np.ndarray, rel_tol: float = 1e-6) -> int:
 def min_eig(M: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix (no symmetry check)."""
     return float(np.linalg.eigvalsh(hermitize(M))[0])
-
-
-def solve_psd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``M X = B`` for Hermitian positive-definite ``M`` via Cholesky."""
-    try:
-        L = np.linalg.cholesky(hermitize(M))
-    except np.linalg.LinAlgError as exc:
-        raise NotPSD(f"matrix is not positive definite: {exc}") from exc
-    y = np.linalg.solve(L, B)
-    return np.linalg.solve(L.conj().T, y)

@@ -87,6 +87,11 @@ class SdpProblem:
         for name in [s for c in self.constraints for s in c.scalar_coeffs] + list(self.objective_scalars):
             if name not in self.free_scalars:
                 raise KeyError(f"unknown scalar {name!r}")
+        used = {s for c in self.constraints for s, v in c.scalar_coeffs.items() if v != 0}
+        for name in self.free_scalars:
+            if name not in used:
+                # its column of the Newton system would be empty: the step is unbounded
+                raise ValueError(f"free scalar {name!r} has no nonzero coefficient in any constraint")
 
 
 @dataclass
@@ -110,10 +115,6 @@ class SdpSolution:
     termination: str                        # the IPM's exit reason, one of _ipm.TERMINATIONS
     history: List[dict] = field(default_factory=list)
     certificate: Optional[dict] = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "Optimal"
 
 
 def elem_re(n: int, i: int, j: int) -> np.ndarray:
@@ -150,11 +151,7 @@ def _build_cone_program(p: SdpProblem):
     block_names = [n for n, _ in p.blocks]
     block_index = {n: j for j, n in enumerate(block_names)}
     ineq_rows = [i for i, c in enumerate(p.constraints) if c.sense != "=="]
-    slack_of_row = {r: s for s, r in enumerate(ineq_rows)}
     n_slack = len(ineq_rows)
-    scalar_index = {s: j for j, s in enumerate(p.free_scalars)}
-    n_free = len(p.free_scalars)
-    m = len(p.constraints)
 
     blocks = [
         _ipm.Block(_ipm.PSD, 2 * dim, embed_dim=dim) for _, dim in p.blocks
@@ -189,27 +186,18 @@ def _build_cone_program(p: SdpProblem):
         a_rows.append(srows)
         a_coeff.append(scoef)
 
-    if n_free:
-        blocks.append(_ipm.Block(_ipm.FREE, n_free))
-        cf = np.zeros(n_free)
-        for s, v in p.objective_scalars.items():
-            cf[scalar_index[s]] = v
-        c.append(cf)
-        frows = []
-        fcoef = []
-        for i, con in enumerate(p.constraints):
-            if con.scalar_coeffs:
-                row = np.zeros(n_free)
-                for s, v in con.scalar_coeffs.items():
-                    row[scalar_index[s]] = v
-                frows.append(i)
-                fcoef.append(row)
-        a_rows.append(np.array(frows, dtype=int) if frows else None)
-        a_coeff.append(np.array(fcoef) if fcoef else None)
+    scalar_index = {s: j for j, s in enumerate(p.free_scalars)}
+    c_free = np.zeros(len(p.free_scalars))
+    for s, v in p.objective_scalars.items():
+        c_free[scalar_index[s]] = v
+    a_free = np.zeros((len(p.constraints), len(p.free_scalars)))
+    for i, con in enumerate(p.constraints):
+        for s, v in con.scalar_coeffs.items():
+            a_free[i, scalar_index[s]] = v
 
     b = np.array([con.rhs for con in p.constraints], dtype=float)
-    prog = _ipm.ConeProgram(blocks=blocks, c=c, a_rows=a_rows, a_coeff=a_coeff, b=b)
-    return prog, block_names, n_slack, n_free
+    prog = _ipm.ConeProgram(blocks=blocks, c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free)
+    return prog, block_names
 
 
 def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
@@ -225,7 +213,7 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     exceed it too.  ``termination`` names the exit the method took.
     """
     opts = opts or SolveOptions()
-    prog, block_names, n_slack, n_free = _build_cone_program(p)
+    prog, block_names = _build_cone_program(p)
     res = _ipm.solve_cone_program(
         prog, tol=opts.tol, max_iter=opts.max_iter, target_tol=opts.target_tol
     )
@@ -234,15 +222,10 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     for j, name in enumerate(block_names):
         primal[name] = unembed_hermitian(res.x[j])
         duals[name] = 2.0 * unembed_hermitian(res.z[j])
-    scalars = {}
-    if n_free:
-        xf = res.x[len(block_names) + (1 if n_slack else 0)]
-        for j, s in enumerate(p.free_scalars):
-            scalars[s] = float(xf[j])
     return SdpSolution(
         status=res.status,
         primal_blocks=primal,
-        scalars=scalars,
+        scalars={s: float(v) for s, v in zip(p.free_scalars, res.x_free)},
         dual_multipliers=res.y,
         dual_blocks=duals,
         pobj=res.pobj,
@@ -332,29 +315,3 @@ def check_certificate(p: SdpProblem, s: SdpSolution) -> Dict[str, float]:
         "constraint_violation": viol,
         "cone_violation": cone,
     }
-
-
-def dump_conic(p: SdpProblem) -> str:
-    """Plain-text dump (block sizes + constraint triplets) for external cross-checks."""
-    lines = [f"blocks {len(p.blocks)}"]
-    for name, dim in p.blocks:
-        lines.append(f"psdblock {name} {dim}")
-    for s in p.free_scalars:
-        lines.append(f"free {s}")
-    def fmt_terms(block_coeffs, scalar_coeffs):
-        out = []
-        for bname in sorted(block_coeffs):
-            mat = np.asarray(block_coeffs[bname], dtype=complex)
-            for i, j in zip(*np.nonzero(np.abs(mat) > 0)):
-                if j < i:
-                    continue
-                out.append(f"{bname}[{i},{j}] {mat[i, j].real:.17g} {mat[i, j].imag:.17g}")
-        for sname in sorted(scalar_coeffs):
-            out.append(f"{sname} {scalar_coeffs[sname]:.17g}")
-        return out
-    lines.append("objective " + "; ".join(fmt_terms(p.objective_blocks, p.objective_scalars)))
-    for k, con in enumerate(p.constraints):
-        lines.append(
-            f"constraint {k} {con.sense} {con.rhs:.17g} : " + "; ".join(fmt_terms(con.block_coeffs, con.scalar_coeffs))
-        )
-    return "\n".join(lines) + "\n"

@@ -1,3 +1,10 @@
+import os
+
+# the benchmark's BLAS setting, one thread per library, set before numpy
+# loads; on these small matrices more threads only contend for the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -31,12 +31,15 @@ class TestSteering:
         assert np.allclose(np.abs(a), 1.0)
 
     @pytest.mark.parametrize("center_deg", [0.0, 10.0])
-    @pytest.mark.parametrize("n", [16, 20])
+    @pytest.mark.parametrize("n", [4, 16, 20])
     def test_angle_array_stacks_scalar_columns(self, center_deg, n):
         angles = np.deg2rad(center_deg + 0.05 * np.arange(-200, 201))
-        grid = steering(angles, n)
-        assert grid.shape == (n, angles.size)
-        assert np.array_equal(grid, np.column_stack([steering(t, n) for t in angles]))
+        # three or four angles against n = 4 would broadcast instead of stacking
+        for some in (angles, angles[:3], angles[:4]):
+            for fn in (steering, steering_deriv):
+                grid = fn(some, n)
+                assert grid.shape == (n, some.size)
+                assert np.array_equal(grid, np.column_stack([fn(t, n) for t in some]))
 
 
 class TestSteeringDeriv:

@@ -3,7 +3,7 @@ import pytest
 
 from crbeam.arrays import steering, steering_deriv
 from crbeam.errors import NonHermitian, NotPSD
-from crbeam.numerics import herm_eig, numeric_rank, psd_sqrt, solve_psd
+from crbeam.numerics import herm_eig, numeric_rank, psd_sqrt
 
 from conftest import complex_gaussian, random_psd, random_hermitian
 
@@ -114,10 +114,3 @@ class TestNumericRank:
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), 2.0)
-
-
-def test_solve_psd(rng):
-    m = random_psd(rng, 5) + np.eye(5)
-    b = complex_gaussian(rng, (5, 2))
-    x = solve_psd(m, b)
-    assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)

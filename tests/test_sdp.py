@@ -9,7 +9,6 @@ from crbeam.sdp import (
     SdpProblem,
     SolveOptions,
     check_certificate,
-    dump_conic,
     elem_im,
     elem_re,
     embed_hermitian,
@@ -185,6 +184,61 @@ class TestSolve:
         with pytest.raises(KeyError):
             p.validate()
 
+    @pytest.mark.parametrize("scalar_coeffs", [{}, {"t": 0.0}])
+    def test_free_scalar_only_in_objective_rejected(self, scalar_coeffs):
+        # min X + t with X = 1: t has an empty column, so its Newton step is unbounded
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.add_free_scalar("t")
+        p.set_objective({"X": np.eye(1, dtype=complex)}, scalar_coeffs={"t": 1.0})
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, scalar_coeffs, "==", 1.0)
+        with pytest.raises(ValueError, match="'t'"):
+            solve(p)
+
+    def test_unused_free_scalar_rejected(self):
+        p = scalar_lower_bound_problem()
+        p.add_free_scalar("s")
+        with pytest.raises(ValueError, match="'s'"):
+            p.validate()
+
+
+class TestFreeColumns:
+    def test_two_free_scalars_in_three_rows(self):
+        # min tr X + s - t over X = diag(x1, x2) >= 0 with x1 - s = 0,
+        # x2 + t + s/2 >= 2 and tr X + 3t <= 4: optimum 0 at s = 0, t = 1, X = diag(0, 1)
+        p = SdpProblem()
+        p.add_block("X", 2)
+        p.add_free_scalar("s")
+        p.add_free_scalar("t")
+        eye = np.eye(2, dtype=complex)
+        p.set_objective({"X": eye}, {"s": 1.0, "t": -1.0})
+        p.add_constraint({"X": elem_re(2, 0, 0)}, {"s": -1.0}, "==", 0.0)
+        p.add_constraint({"X": elem_re(2, 1, 1)}, {"t": 1.0, "s": 0.5}, ">=", 2.0)
+        p.add_constraint({"X": eye}, {"t": 3.0}, "<=", 4.0)
+        sol = solve(p)
+        assert sol.status == "Optimal"
+        assert sol.pobj == pytest.approx(0.0, abs=1e-7)
+        assert sol.scalars["s"] == pytest.approx(0.0, abs=1e-7)
+        assert sol.scalars["t"] == pytest.approx(1.0, abs=1e-7)
+        assert np.allclose(sol.primal_blocks["X"], np.diag([0.0, 1.0]), atol=1e-7)
+        rep = check_certificate(p, sol)
+        assert max(rep["primal"], rep["dual"], rep["gap"]) <= SolveOptions().tol
+
+    def test_infeasible_with_free_scalar(self):
+        # x + t = 1 and x + t = 2: the ray y ~ (-1, 1) has b.y > 0 and annihilates t's column
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.add_free_scalar("t")
+        p.set_objective({"X": np.eye(1, dtype=complex)})
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": 1.0}, "==", 1.0)
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": 1.0}, "==", 2.0)
+        sol = solve(p)
+        assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
+        y = sol.certificate["y"]
+        assert y @ np.array([1.0, 2.0]) > 0
+        assert y[0] + y[1] == 0.0   # the free column sums exactly
+        assert y[1] > 0
+
 
 class TestCertificate:
     def test_hand_built_optimal_pair(self):
@@ -212,13 +266,6 @@ class TestCertificate:
         assert rep["primal"] <= 1e-7
         assert rep["dual"] <= 1e-7
         assert rep["gap"] <= 1e-7
-
-
-def test_dump_conic_format():
-    p = scalar_lower_bound_problem()
-    text = dump_conic(p)
-    assert "psdblock X 1" in text
-    assert "constraint 0 >= 1" in text
 
 
 def test_solve_options_defaults():
@@ -327,7 +374,7 @@ def schur_program(rng):
             coeff.append(rng.standard_normal((r.size, dim)) * (rng.random((r.size, dim)) < 0.6))
             w.append(rng.random(dim) + 0.1)
     prog = _ipm.ConeProgram(blocks=blocks, c=[None] * len(blocks), a_rows=rows, a_coeff=coeff,
-                            b=np.zeros(n_rows))
+                            b=np.zeros(n_rows), c_free=np.zeros(0), a_free=np.zeros((n_rows, 0)))
     ops = [_ipm._BlockA(blk, r, c) for blk, r, c in zip(blocks, rows, coeff)]
     return prog, ops, SimpleNamespace(w=w)
 
