@@ -51,6 +51,8 @@ TERMINATIONS = (
 )
 
 _DENSE_ROW_NNZ = 16  # rows with more nonzeros than this use dense matmuls
+STEP_FRAC = 0.99     # fraction of the distance to the cone boundary each step takes
+INFEAS_TOL = 1e-6    # least objective improvement rate of an infeasibility ray
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,16 @@ class Block:
 
 @dataclass
 class ConeProgram:
-    """Block-structured conic program in equality standard form."""
+    """Block-structured conic program in equality standard form.
+
+    Every cone block appears in at least one row (``SdpProblem.validate``),
+    so each block's ``a_rows`` is a nonempty index array.
+    """
 
     blocks: List[Block]
     c: List[np.ndarray]                       # objective per block (matrix or vector)
-    a_rows: List[Optional[np.ndarray]]        # per block: row indices with a nonzero coefficient
-    a_coeff: List[Optional[np.ndarray]]       # per block: (r, n, n) or (r, n) coefficient stack
+    a_rows: List[np.ndarray]                  # per block: indices of the rows it appears in
+    a_coeff: List[np.ndarray]                 # per block: (r, n, n) or (r, n) coefficient stack
     b: np.ndarray
     c_free: np.ndarray                        # (n_free,) objective of the free variables
     a_free: np.ndarray                        # (n_rows, n_free) their constraint columns
@@ -218,33 +224,21 @@ class _BlockA:
 
 def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xf: np.ndarray) -> np.ndarray:
     out = np.zeros(prog.n_rows)
-    for j, op in enumerate(ops):
-        if op is not None:
-            out[op.rows] += op.apply(x[j])
+    for op, xb in zip(ops, x):
+        out[op.rows] += op.apply(xb)
     return out + prog.a_free @ xf
 
 
-def _apply_at(ops, prog: ConeProgram, y: np.ndarray) -> List[np.ndarray]:
-    out = []
-    for j, blk in enumerate(prog.blocks):
-        op = ops[j]
-        if op is None:
-            out.append(np.zeros((blk.dim, blk.dim)) if blk.kind == PSD else np.zeros(blk.dim))
-        else:
-            out.append(op.apply_t(y[op.rows]))
-    return out
+def _apply_at(ops, y: np.ndarray) -> List[np.ndarray]:
+    return [op.apply_t(y[op.rows]) for op in ops]
 
 
 def _inner(u: Sequence[np.ndarray], v: Sequence[np.ndarray]) -> float:
     return float(sum(np.sum(a * b) for a, b in zip(u, v)))
 
 
-def _max_step_psd(x: np.ndarray, dx: np.ndarray) -> float:
-    """sup {alpha : x + alpha dx >= 0} for PD x."""
-    try:
-        lx = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        lx = np.linalg.cholesky(x + 1e-14 * max(np.trace(x), 1.0) * np.eye(x.shape[0]))
+def _max_step_psd(lx: np.ndarray, dx: np.ndarray) -> float:
+    """sup {alpha : x + alpha dx >= 0} for PD x with Cholesky factor ``lx``."""
     m = sla.solve_triangular(lx, dx, lower=True)
     m = sla.solve_triangular(lx, m.T, lower=True)
     lam_min = float(np.linalg.eigvalsh(_sym(m))[0])
@@ -268,10 +262,14 @@ class _NTScaling:
         self.g = []        # factor G with W = G G^T
         self.ginv = []
         self.lam = []      # scaled-point spectrum
+        self.lx = []       # Cholesky factors of x and z (psd), reused by the step length
+        self.lz = []
         for blk, xb, zb in zip(blocks, x, z):
             if blk.kind == PSD:
                 lx = np.linalg.cholesky(xb)
                 lz = np.linalg.cholesky(zb)
+                self.lx.append(lx)
+                self.lz.append(lz)
                 u, s, vt = np.linalg.svd(lz.T @ lx)
                 s = np.maximum(s, 1e-300)
                 g = lx @ vt.T / np.sqrt(s)
@@ -285,6 +283,8 @@ class _NTScaling:
                 self.ginv.append(None)
                 self.w.append(xb / zb)
                 self.lam.append(np.sqrt(xb * zb))
+                self.lx.append(None)
+                self.lz.append(None)
 
     def apply(self, j: int, v: np.ndarray, blocks) -> np.ndarray:
         """H_j(v) = W v W for PSD, w^2 * v for nonneg."""
@@ -295,10 +295,7 @@ class _NTScaling:
 
 def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
     m = np.zeros((prog.n_rows, prog.n_rows))
-    for j, blk in enumerate(prog.blocks):
-        op = ops[j]
-        if op is None:
-            continue
+    for j, (blk, op) in enumerate(zip(prog.blocks, ops)):
         if blk.kind == PSD:
             m[op.schur_index] += op.gram(nt.w[j])
         else:
@@ -345,9 +342,7 @@ def solve_cone_program(
     prog: ConeProgram,
     tol: float = 1e-8,
     max_iter: int = 100,
-    step_frac: float = 0.99,
     target_tol: float = 1e-10,
-    infeas_tol: float = 1e-6,
 ) -> IpmResult:
     """Run the predictor-corrector NT interior-point method.
 
@@ -366,8 +361,6 @@ def solve_cone_program(
     row_scale = np.zeros(m_rows)
     for j, blk in enumerate(prog.blocks):
         rows, coeff = prog.a_rows[j], prog.a_coeff[j]
-        if rows is None or rows.size == 0:
-            continue
         axes = (1, 2) if blk.kind == PSD else 1
         np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=axes)))
     row_scale = np.maximum(row_scale, np.sqrt(np.sum(prog.a_free**2, axis=1)))
@@ -381,7 +374,7 @@ def solve_cone_program(
         c=prog.c,
         a_rows=prog.a_rows,
         a_coeff=[
-            (coeff / row_scale[rows].reshape((-1,) + (1,) * (coeff.ndim - 1)) if rows is not None and rows.size else coeff)
+            coeff / row_scale[rows].reshape((-1,) + (1,) * (coeff.ndim - 1))
             for rows, coeff in zip(prog.a_rows, prog.a_coeff)
         ],
         b=prog.b / row_scale,
@@ -390,13 +383,10 @@ def solve_cone_program(
     )
     af = prog.a_free
 
-    ops = [
-        _BlockA(blk, rows, coeff) if (rows is not None and rows.size) else None
-        for blk, rows, coeff in zip(prog.blocks, prog.a_rows, prog.a_coeff)
-    ]
+    ops = [_BlockA(blk, rows, coeff) for blk, rows, coeff in zip(prog.blocks, prog.a_rows, prog.a_coeff)]
 
     # -- scaling of the data ------------------------------------------------
-    norm_b = max(1.0, float(np.max(np.abs(prog.b))) if m_rows else 1.0)
+    norm_b = max(1.0, float(np.max(np.abs(prog.b))))
     norm_c = max(1.0, max(float(np.max(np.abs(cb))) if cb.size else 0.0 for cb in prog.c + [prog.c_free]))
     c_s = [cb / norm_c for cb in prog.c]
     cf_s = prog.c_free / norm_c
@@ -421,7 +411,7 @@ def solve_cone_program(
     # sums over blocks take the free terms last; another order rounds differently
     def residuals(x, xf, y, z):
         rp = b_s - _apply_a(ops, prog, x, xf)
-        aty = _apply_at(ops, prog, y)
+        aty = _apply_at(ops, y)
         rd = [c_s[j] - aty[j] - z[j] for j in range(len(blocks))]
         rd_f = cf_s - af.T @ y
         pobj = _inner(c_s + [cf_s], x + [xf])
@@ -445,9 +435,9 @@ def solve_cone_program(
             return None
         yn = yv / ny
         improvement = float(b_s @ yn)
-        if improvement < infeas_tol:
+        if improvement < INFEAS_TOL:
             return None
-        aty = _apply_at(ops, prog, yn)
+        aty = _apply_at(ops, yn)
         viol = 0.0
         scale = 1.0
         for j, blk in enumerate(blocks):
@@ -469,7 +459,7 @@ def solve_cone_program(
             return None
         xr, xfr = [b / nx for b in xv], xfv / nx
         rate = _inner(c_s + [cf_s], xr + [xfr])
-        if rate > -infeas_tol:
+        if rate > -INFEAS_TOL:
             return None
         if float(np.linalg.norm(_apply_a(ops, prog, xr, xfr))) <= 1e-9:
             return {"kind": "primal_ray", "x": xr, "x_free": xfr, "objective_rate": rate}
@@ -531,12 +521,10 @@ def solve_cone_program(
         def newton(rc_blocks):
             rhs = rp.copy()
             for j, op in enumerate(ops):
-                if op is None:
-                    continue
                 hv = nt.apply(j, rd[j], blocks)
                 rhs[op.rows] -= op.apply(rc_blocks[j] - hv)
             dy, dxf = solver.solve(rhs, rd_f)
-            aty = _apply_at(ops, prog, dy)
+            aty = _apply_at(ops, dy)
             dx, dz = [], []
             for j, blk in enumerate(blocks):
                 dzj = rd[j] - aty[j]
@@ -553,8 +541,8 @@ def solve_cone_program(
             ap = ad = np.inf
             for j, blk in enumerate(blocks):
                 if blk.kind == PSD:
-                    ap = min(ap, _max_step_psd(x[j], dx[j]))
-                    ad = min(ad, _max_step_psd(z[j], dz[j]))
+                    ap = min(ap, _max_step_psd(nt.lx[j], dx[j]))
+                    ad = min(ad, _max_step_psd(nt.lz[j], dz[j]))
                 else:
                     ap = min(ap, _max_step_nonneg(x[j], dx[j]))
                     ad = min(ad, _max_step_nonneg(z[j], dz[j]))
@@ -563,7 +551,7 @@ def solve_cone_program(
         # predictor (affine) step
         dx_a, _, dy_a, dz_a = newton([-xb for xb in x])
         ap_a, ad_a = max_steps(dx_a, dz_a)
-        ap_a, ad_a = min(1.0, step_frac * ap_a), min(1.0, step_frac * ad_a)
+        ap_a, ad_a = min(1.0, STEP_FRAC * ap_a), min(1.0, STEP_FRAC * ad_a)
         gap_now = mu * nu
         gap_aff = 0.0
         for j in range(len(blocks)):
@@ -588,7 +576,7 @@ def solve_cone_program(
             termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dz)
-        ap, ad = min(1.0, step_frac * ap), min(1.0, step_frac * ad)
+        ap, ad = min(1.0, STEP_FRAC * ap), min(1.0, STEP_FRAC * ad)
         if min(ap, ad) < 1e-8:
             stall += 1
             if stall >= 3:

@@ -251,13 +251,12 @@ def _point_duals(scenario: Scenario, sol: SdpSolution) -> dict:
 
 
 def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) -> DesignSolution:
-    """Multi-user point-target design via SDR with guaranteed-rank-one recovery.
+    """Multi-user point-target design via SDR and rank-one recovery.
 
-    When every relaxed block is rank one (the generic case for K >= 2 and
-    uncorrelated channels) beamformers come from the dominant eigenpairs.
-    A rank-2 block is repaired by the single-active-user reallocation when
-    that structure is detected in the duals; otherwise ``RankExcess`` is
-    raised with the relaxed solution attached.
+    The relaxation is tight with rank-one blocks, so beamformers come from
+    the dominant eigenpairs.  When a solved block's eigenvalue ratio
+    exceeds ``RANK_ONE_RATIO``, ``RankExcess`` is raised with the relaxed
+    solution attached (covariance sum W_k and its CRB as objective).
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
@@ -273,36 +272,28 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     w_blocks = [hermitize(sol.primal_blocks[n]) for n in names]
     duals = _point_duals(scenario, sol)
 
-    beamformers = np.zeros((scenario.geometry.n_tx, k), dtype=complex)
     factors = [_rank_one_factor(w) for w in w_blocks]
     ratios = [f[1] for f in factors]
+    r_x = hermitize(sum(w_blocks))
     if any(r > RANK_ONE_RATIO for r in ratios):
-        w_blocks, repaired = _repair_case_two(scenario, w_blocks, duals)
-        if not repaired:
-            r_x = hermitize(sum(w_blocks))
-            partial = DesignSolution(
-                comm_beamformers=np.zeros((scenario.geometry.n_tx, 0)),
-                covariance=r_x,
-                achieved_sinrs=None,
-                objective=crb_point_theta(r_x, target.theta, target.alpha, scenario),
-                diagnostics={
-                    "eig_ratios": ratios,
-                    "duals": duals,
-                    "t_star": sol.scalars["t"],
-                    "w_blocks": w_blocks,
-                    "sdp": sol,
-                },
-            )
-            raise RankExcess(
-                f"relaxed blocks not rank-one (eig ratios {ratios}) outside the repairable case",
-                solution=partial,
-            )
-        factors = [_rank_one_factor(w) for w in w_blocks]
-        ratios = [f[1] for f in factors]
+        partial = DesignSolution(
+            comm_beamformers=np.zeros((scenario.geometry.n_tx, 0)),
+            covariance=r_x,
+            achieved_sinrs=None,
+            objective=crb_point_theta(r_x, target.theta, target.alpha, scenario),
+            diagnostics={
+                "eig_ratios": ratios,
+                "duals": duals,
+                "t_star": sol.scalars["t"],
+                "w_blocks": w_blocks,
+                "sdp": sol,
+            },
+        )
+        raise RankExcess(f"relaxed blocks not rank-one (eig ratios {ratios})", solution=partial)
+    beamformers = np.zeros((scenario.geometry.n_tx, k), dtype=complex)
     for i, (w, _) in enumerate(factors):
         beamformers[:, i] = w
 
-    r_x = hermitize(sum(w_blocks))
     sinrs = achieved_sinrs(beamformers, None, scenario.channels, scenario.noise_comm)
     objective = crb_point_theta(r_x, target.theta, target.alpha, scenario)
     return DesignSolution(
@@ -323,34 +314,6 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
             "sdp": sol,
         },
     )
-
-
-def _repair_case_two(scenario: Scenario, w_blocks, duals):
-    """Reallocate the f_max component of the single active user (single active user in the KKT system)."""
-    k = len(w_blocks)
-    mu, mu_t = duals["mu"], duals["mu_T"]
-    active = [i for i in range(k) if mu[i] > 1e-8 * max(1.0, mu_t)]
-    if k < 2 or len(active) != 1:
-        return w_blocks, False
-    k0 = active[0]
-    target = scenario.target
-    from .verify import gradient_matrix_f
-
-    f_mat = gradient_matrix_f(scenario.geometry, target.theta, duals["beta"])
-    _, vecs = herm_eig(f_mat)
-    f_max = vecs[:, -1]
-    h0 = scenario.user_channel(k0)
-    h0n2 = float(np.real(h0.conj() @ h0))
-    a1 = float(np.real(h0.conj() @ w_blocks[k0] @ h0)) / h0n2**2
-    b1 = float(np.real(f_max.conj() @ w_blocks[k0] @ f_max))
-    model = a1 * np.outer(h0, h0.conj()) + b1 * np.outer(f_max, f_max.conj())
-    if np.linalg.norm(w_blocks[k0] - model) > 1e-6 * max(1.0, np.linalg.norm(w_blocks[k0])):
-        return w_blocks, False
-    k2 = next(i for i in range(k) if i != k0)
-    out = [w.copy() for w in w_blocks]
-    out[k0] = a1 * np.outer(h0, h0.conj())
-    out[k2] = out[k2] + b1 * np.outer(f_max, f_max.conj())
-    return out, True
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class Infeasible(CrbeamError):
 
 
 class RankExcess(CrbeamError):
-    """SDR solution has a beamformer block of rank > 1 outside the repairable case."""
+    """SDR solution has a beamformer block of numerical rank > 1 (the relaxed solution is attached)."""
 
     def __init__(self, msg, solution=None):
         super().__init__(msg)

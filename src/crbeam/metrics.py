@@ -145,24 +145,6 @@ def achieved_sinrs(
     return signal / (interference + noise_comm)
 
 
-def sinr_point(solution: DesignSolution, k: int, scenario: Scenario) -> float:
-    """SINR of user k for a data-streams-only design."""
-    if solution.aux_beamformer is not None and np.any(solution.aux_beamformer):
-        raise ValueError("point-design SINR excludes probing streams; use sinr_extended")
-    vals = achieved_sinrs(solution.comm_beamformers, None, scenario.channels, scenario.noise_comm)
-    return float(vals[k])
-
-
-def sinr_extended(solution: DesignSolution, k: int, scenario: Scenario) -> float:
-    """SINR of user k, counting auxiliary probing streams as interference."""
-    if solution.aux_beamformer is None:
-        raise ValueError("extended design requires an auxiliary beamformer (may be zero)")
-    vals = achieved_sinrs(
-        solution.comm_beamformers, solution.aux_beamformer, scenario.channels, scenario.noise_comm
-    )
-    return float(vals[k])
-
-
 def beampattern(r_x: np.ndarray, theta_grid: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     """Transmit power a(theta)^H R_X a(theta) over a grid of angles (rad)."""
     assert_hermitian(r_x, what="R_X")

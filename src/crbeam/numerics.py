@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernels.
 
-Hermitian eigendecomposition, PSD square roots, linear solves and rank
-estimation, shared by every other module.  Matrices are plain complex
+Hermitian symmetry checks, eigendecomposition, PSD square roots and the
+smallest eigenvalue, shared by every other module.  Matrices are plain complex
 ``numpy.ndarray`` objects; these helpers add the symmetry/PSD validation
 and the deterministic conventions (eigenvalue ordering, eigenvector
 phase) that the rest of the package relies on.
@@ -83,18 +83,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
         raise NotPSD(f"min eigenvalue {values[0]:.3e} below PSD tolerance {floor:.3e}")
     clipped = np.clip(values, 0.0, None)
     return (vectors * np.sqrt(clipped)) @ vectors.conj().T
-
-
-def numeric_rank(M: np.ndarray, rel_tol: float = 1e-6) -> int:
-    """Number of singular values above ``rel_tol * sigma_max`` (0 for the zero matrix)."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0,1), got {rel_tol}")
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def min_eig(M: np.ndarray) -> float:

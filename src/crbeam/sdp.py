@@ -92,6 +92,11 @@ class SdpProblem:
             if name not in used:
                 # its column of the Newton system would be empty: the step is unbounded
                 raise ValueError(f"free scalar {name!r} has no nonzero coefficient in any constraint")
+        constrained = {b for c in self.constraints for b in c.block_coeffs}
+        for name in names:
+            if name not in constrained:
+                # decoupled from the rest: min <C, X> over the cone alone is 0 or unbounded
+                raise ValueError(f"block {name!r} appears in no constraint")
 
 
 @dataclass
@@ -166,15 +171,8 @@ def _build_cone_program(p: SdpProblem):
             rows_per_block[j].append(i)
             coeff_per_block[j].append(embed_hermitian(np.asarray(mat, dtype=complex)) / 2)
 
-    a_rows = []
-    a_coeff = []
-    for j, (name, dim) in enumerate(p.blocks):
-        if rows_per_block[j]:
-            a_rows.append(np.array(rows_per_block[j], dtype=int))
-            a_coeff.append(np.array(coeff_per_block[j]))
-        else:
-            a_rows.append(None)
-            a_coeff.append(None)
+    a_rows = [np.array(rows, dtype=int) for rows in rows_per_block]
+    a_coeff = [np.array(coeff) for coeff in coeff_per_block]
 
     if n_slack:
         blocks.append(_ipm.Block(_ipm.NONNEG, n_slack))

@@ -65,7 +65,6 @@ class GridSpec:
     center: float = 0.0
     half_width: float = 10.0 * DEG
     step: float = 0.05 * DEG
-    refine: bool = True
 
     def angles(self) -> np.ndarray:
         n = int(np.floor(self.half_width / self.step))
@@ -118,7 +117,7 @@ class PointMle:
         metric = np.abs(num) ** 2 / np.maximum(denom, 1e-300)
         g = int(np.argmax(metric))
         theta = float(self.angles[g])
-        if self.grid.refine and 0 < g < metric.size - 1:
+        if 0 < g < metric.size - 1:
             m_m, m_0, m_p = metric[g - 1], metric[g], metric[g + 1]
             curv = m_m - 2 * m_0 + m_p
             if curv < 0:
@@ -126,13 +125,6 @@ class PointMle:
         _, num_hat, nrm_hat = self._metric_at(theta, y)
         alpha = num_hat / nrm_hat
         return theta, complex(alpha)
-
-
-def mle_point(
-    y: np.ndarray, tx: np.ndarray, grid: GridSpec, geometry: ArrayGeometry
-) -> Tuple[float, complex]:
-    """One-shot wrapper around :class:`PointMle`."""
-    return PointMle(tx, grid, geometry).estimate(y)
 
 
 def mle_extended(y: np.ndarray, tx: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crbeam import designs
 from crbeam.arrays import ArrayGeometry, PointTarget, steering
 from crbeam.designs import (
     build_point_sdp,
@@ -167,6 +168,19 @@ class TestPointMulti:
             except RankExcess as exc:
                 obj = exc.solution.objective
             assert abs(obj - closed.objective) / closed.objective <= 1e-5
+
+    def test_rank_excess_attaches_relaxed_solution(self, rng, monkeypatch):
+        # a zero eigenvalue-ratio threshold sends a solved K=4 design down the raise path
+        monkeypatch.setattr(designs, "RANK_ONE_RATIO", 0.0)
+        scen = make_scenario(rng, k=4, n_tx=8, n_rx=10, gamma_db=10.0)
+        with pytest.raises(RankExcess) as info:
+            design_point_multi(scen)
+        partial = info.value.solution
+        relaxed = partial.diagnostics["sdp"].primal_blocks
+        w_sum = sum(relaxed[f"W{i+1}"] for i in range(4))
+        assert np.allclose(partial.covariance, w_sum, rtol=0, atol=1e-12 * np.linalg.norm(w_sum))
+        assert partial.objective == crb_point_theta(partial.covariance, 0.0, scen.target.alpha, scen)
+        assert partial.comm_beamformers.shape == (8, 0)
 
     def test_full_scale_rank_one(self, rng):
         scen = make_scenario(rng, k=4, n_tx=16, n_rx=20, gamma_db=15.0)

@@ -4,7 +4,6 @@ import pytest
 from crbeam.arrays import ArrayGeometry, PointTarget, steering, steering_deriv
 from crbeam.errors import SingularCovariance, SingularFIM
 from crbeam.metrics import (
-    DesignSolution,
     Scenario,
     achieved_sinrs,
     beampattern,
@@ -16,8 +15,6 @@ from crbeam.metrics import (
     fim_extended,
     point_traces,
     radar_alpha_from_snr,
-    sinr_extended,
-    sinr_point,
 )
 
 from conftest import complex_gaussian, make_scenario, random_psd
@@ -202,46 +199,43 @@ class TestSinr:
     def test_single_user(self, rng):
         scen = make_scenario(rng, k=1, n_tx=4, n_rx=6, sigma_c2=2.0)
         w = complex_gaussian(rng, (4, 1))
-        sol = DesignSolution(comm_beamformers=w, covariance=w @ w.conj().T)
         h1 = scen.user_channel(0)
-        assert sinr_point(sol, 0, scen) == pytest.approx(abs(h1.conj() @ w[:, 0]) ** 2 / 2.0, rel=1e-12)
+        sinr = achieved_sinrs(w, None, scen.channels, scen.noise_comm)[0]
+        assert sinr == pytest.approx(abs(h1.conj() @ w[:, 0]) ** 2 / 2.0, rel=1e-12)
 
     def test_orthogonal_users_no_interference(self):
         channels = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]], dtype=complex)  # rows h_k^H
         scen = Scenario(ArrayGeometry(4, 6), channels, [1.0, 1.0], 10.0, 1.0, 1.0, 10)
         w = np.array([[2.0, 0], [0, 3.0], [0, 0], [0, 0]], dtype=complex)
-        sol = DesignSolution(comm_beamformers=w, covariance=w @ w.conj().T)
-        assert sinr_point(sol, 0, scen) == pytest.approx(4.0, rel=1e-12)
-        assert sinr_point(sol, 1, scen) == pytest.approx(9.0, rel=1e-12)
+        sinrs = achieved_sinrs(w, None, scen.channels, scen.noise_comm)
+        assert sinrs == pytest.approx([4.0, 9.0], rel=1e-12)
 
     def test_two_user_hand_computation(self, rng):
         scen = make_scenario(rng, k=2, n_tx=4, n_rx=6, sigma_c2=1.5)
         w = complex_gaussian(rng, (4, 2))
-        sol = DesignSolution(comm_beamformers=w, covariance=w @ w.conj().T)
+        sinrs = achieved_sinrs(w, None, scen.channels, scen.noise_comm)
         for k in range(2):
             h = scen.user_channel(k)
             sig = abs(np.vdot(h, w[:, k])) ** 2
             interf = abs(np.vdot(h, w[:, 1 - k])) ** 2
-            assert sinr_point(sol, k, scen) == pytest.approx(sig / (interf + 1.5), rel=1e-12)
+            assert sinrs[k] == pytest.approx(sig / (interf + 1.5), rel=1e-12)
 
     def test_extended_reduces_without_leakage(self, rng):
         scen = make_scenario(rng, k=2, n_tx=4, n_rx=6)
         w = complex_gaussian(rng, (4, 2))
-        sol0 = DesignSolution(comm_beamformers=w, covariance=w @ w.conj().T, aux_beamformer=np.zeros((4, 4)))
-        sol1 = DesignSolution(comm_beamformers=w, covariance=w @ w.conj().T)
-        for k in range(2):
-            assert sinr_extended(sol0, k, scen) == pytest.approx(sinr_point(sol1, k, scen), rel=1e-12)
+        with_zero_aux = achieved_sinrs(w, np.zeros((4, 4)), scen.channels, scen.noise_comm)
+        assert with_zero_aux == pytest.approx(achieved_sinrs(w, None, scen.channels, scen.noise_comm), rel=1e-12)
 
     def test_extended_hand_computation(self, rng):
         scen = make_scenario(rng, k=2, n_tx=4, n_rx=6, sigma_c2=0.7)
         w = complex_gaussian(rng, (4, 2))
         w_a = complex_gaussian(rng, (4, 4))
-        sol = DesignSolution(comm_beamformers=w, covariance=None, aux_beamformer=w_a)
+        sinrs = achieved_sinrs(w, w_a, scen.channels, scen.noise_comm)
         for k in range(2):
             h = scen.user_channel(k)
             sig = abs(np.vdot(h, w[:, k])) ** 2
             interf = abs(np.vdot(h, w[:, 1 - k])) ** 2 + np.sum(np.abs(h.conj() @ w_a) ** 2)
-            assert sinr_extended(sol, k, scen) == pytest.approx(sig / (interf + 0.7), rel=1e-12)
+            assert sinrs[k] == pytest.approx(sig / (interf + 0.7), rel=1e-12)
 
     def test_scale_invariance(self, rng):
         # scaling W_D by sqrt(c) and sigma_C^2 by c leaves every SINR unchanged

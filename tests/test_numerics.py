@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from crbeam.arrays import steering, steering_deriv
 from crbeam.errors import NonHermitian, NotPSD
-from crbeam.numerics import herm_eig, numeric_rank, psd_sqrt
+from crbeam.numerics import herm_eig, psd_sqrt
 
 from conftest import complex_gaussian, random_psd, random_hermitian
 
@@ -86,31 +85,3 @@ class TestPsdSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
-
-
-class TestNumericRank:
-    def test_rank_one(self, rng):
-        w = complex_gaussian(rng, 6)
-        assert numeric_rank(np.outer(w, w.conj()), 1e-6) == 1
-
-    def test_identity(self):
-        assert numeric_rank(np.eye(4), 1e-6) == 4
-
-    def test_zero(self):
-        assert numeric_rank(np.zeros((3, 3)), 1e-6) == 0
-
-    def test_steering_stack_full_column_rank(self, rng):
-        # channel matrix times [a, adot]: full column rank for K >= 2
-        h = complex_gaussian(rng, (4, 8))
-        d = h @ np.column_stack([steering(0.1, 8), steering_deriv(0.1, 8)])
-        assert numeric_rank(d, 1e-6) == 2
-
-    def test_unitary_invariance(self, rng):
-        m = complex_gaussian(rng, (5, 5))
-        q1, _ = np.linalg.qr(complex_gaussian(rng, (5, 5)))
-        q2, _ = np.linalg.qr(complex_gaussian(rng, (5, 5)))
-        assert numeric_rank(q1 @ m @ q2, 1e-8) == numeric_rank(m, 1e-8)
-
-    def test_tolerance_domain(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(2), 2.0)

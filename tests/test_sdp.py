@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crbeam import _ipm
 from crbeam.errors import DimensionMismatch
@@ -200,6 +201,14 @@ class TestSolve:
         p.add_free_scalar("s")
         with pytest.raises(ValueError, match="'s'"):
             p.validate()
+
+    def test_block_in_no_constraint_rejected(self):
+        # Y enters the objective only: min tr Y over Y >= 0 is decoupled from every row
+        p = scalar_lower_bound_problem()
+        p.add_block("Y", 2)
+        p.set_objective({"X": np.eye(1, dtype=complex), "Y": np.eye(2, dtype=complex)})
+        with pytest.raises(ValueError, match="'Y'"):
+            solve(p)
 
 
 class TestFreeColumns:
@@ -403,6 +412,24 @@ class TestSchurAssembly:
         c = prog.a_coeff[0]
         want = np.einsum("rab,bc,scd,da->rs", c, w, c, w)
         assert np.allclose(op.gram(w), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestStepLength:
+    def test_psd_step_matches_generalized_eigenvalues(self, rng):
+        # x + alpha dx >= 0 up to alpha = -1 / lambda_min(dx, x)
+        for n in (1, 3, 8):
+            x = random_pd(rng, n)
+            dx = rng.standard_normal((n, n)) * 3.0
+            dx = dx + dx.T
+            lam_min = scipy.linalg.eigh(dx, x, eigvals_only=True)[0]
+            want = -1.0 / lam_min if lam_min < 0 else np.inf
+            assert _ipm._max_step_psd(np.linalg.cholesky(x), dx) == pytest.approx(want, rel=1e-10)
+
+    def test_psd_direction_is_unbounded(self, rng):
+        x = random_pd(rng, 4)
+        b = rng.standard_normal((4, 4))
+        for dx in (b @ b.T + np.eye(4), np.zeros((4, 4))):
+            assert _ipm._max_step_psd(np.linalg.cholesky(x), dx) == np.inf
 
 
 class TestTermination:

@@ -9,7 +9,6 @@ from crbeam.sim import (
     PointMle,
     gen_streams,
     mle_extended,
-    mle_point,
     monte_carlo_extended,
     monte_carlo_point,
     radar_echo,
@@ -112,7 +111,7 @@ class TestPointMle:
         s = gen_streams(4, 30, 1)
         x = synth_tx(sol.comm_beamformers, s)
         y = radar_echo(x, scen.target, 0.0, scen.geometry, rng)
-        theta_hat, alpha_hat = mle_point(y, x, GridSpec(), scen.geometry)
+        theta_hat, alpha_hat = PointMle(x, GridSpec(), scen.geometry).estimate(y)
         assert abs(theta_hat) <= 1e-4
         assert abs(alpha_hat - 1.0) <= 1e-6
 
@@ -124,14 +123,14 @@ class TestPointMle:
             s = gen_streams(4, 30, rng_trial)
             x = synth_tx(sol.comm_beamformers, s)
             y = radar_echo(x, scen.target, sigma2, scen.geometry, rng_trial)
-            theta_hat, _ = mle_point(y, x, GridSpec(), scen.geometry)
+            theta_hat, _ = PointMle(x, GridSpec(), scen.geometry).estimate(y)
             errs.append(abs(theta_hat))
         assert errs[0] > errs[1] > errs[2]
 
     def test_degenerate_signal(self, rng):
         geom = ArrayGeometry(4, 6)
         with pytest.raises(DegenerateSignal):
-            mle_point(np.ones((6, 10), dtype=complex), np.zeros((4, 10), dtype=complex), GridSpec(), geom)
+            PointMle(np.zeros((4, 10), dtype=complex), GridSpec(), geom)
 
     def test_monte_carlo_high_snr_band(self, rng):
         scen = make_scenario(rng, k=4, n_tx=16, n_rx=20)
