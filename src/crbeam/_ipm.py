@@ -5,11 +5,15 @@ Solves
     minimize    <c, x> + c_f^T x_f
     subject to  A x + A_f x_f = b,   x in K,
 
-where ``K`` is a product of real symmetric PSD blocks and a nonnegative
-vector block, and the free variables x_f enter through the dense columns
-A_f (a matrix with no columns when there are none).  The method is path
+where ``K`` is a product of real symmetric PSD blocks and ``A x``
+includes the inequality slacks: slack s_i >= 0 enters row ``slack_rows[i]``
+alone, with coefficient ``slack_coef[i]``, so each adds one term to the
+diagonal of the Schur complement.  The free variables x_f enter through the dense columns A_f (a
+matrix with no columns when there are none).  The method is path
 following with Nesterov-Todd scaling and a Mehrotra predictor-corrector
 step; the free columns border the Newton system's Schur complement.
+Slacks and free variables are internal: the result reports the PSD
+blocks in ``x`` and ``z``, and the free variables in ``x_free``.
 
 Complex Hermitian blocks are handled one layer up (:mod:`crbeam.sdp`)
 through the real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``.
@@ -33,8 +37,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-PSD, NONNEG = "psd", "nonneg"
-
 # Why solve_cone_program stopped.  The status says what the reported
 # (best) iterate achieves; the termination says which exit was taken, so
 # an early exit whose best iterate still meets ``tol`` reads Optimal with
@@ -57,14 +59,13 @@ INFEAS_TOL = 1e-6    # least objective improvement rate of an infeasibility ray
 
 @dataclass(frozen=True)
 class Block:
-    kind: str
+    """One real symmetric PSD block of size ``dim``."""
+
     dim: int
-    embed_dim: Optional[int] = None  # complex dimension when this PSD block is an embedding
+    embed_dim: Optional[int] = None  # complex dimension when this block is an embedding
 
     def __post_init__(self):
-        if self.kind not in (PSD, NONNEG):
-            raise ValueError(f"unknown block kind {self.kind}")
-        if self.kind == PSD and self.embed_dim is not None and 2 * self.embed_dim != self.dim:
+        if self.embed_dim is not None and 2 * self.embed_dim != self.dim:
             raise ValueError("embedded PSD block must have dim = 2 * embed_dim")
 
 
@@ -77,28 +78,30 @@ class ConeProgram:
     """
 
     blocks: List[Block]
-    c: List[np.ndarray]                       # objective per block (matrix or vector)
+    c: List[np.ndarray]                       # objective per block
     a_rows: List[np.ndarray]                  # per block: indices of the rows it appears in
-    a_coeff: List[np.ndarray]                 # per block: (r, n, n) or (r, n) coefficient stack
+    a_coeff: List[np.ndarray]                 # per block: (r, n, n) coefficient stack
     b: np.ndarray
     c_free: np.ndarray                        # (n_free,) objective of the free variables
     a_free: np.ndarray                        # (n_rows, n_free) their constraint columns
+    slack_rows: np.ndarray                    # (n_slack,) the inequality rows, one slack each
+    slack_coef: np.ndarray                    # (n_slack,) the slack's coefficient in its row
 
     @property
     def n_rows(self) -> int:
         return self.b.shape[0]
 
     def barrier_degree(self) -> int:
-        return sum(blk.dim for blk in self.blocks)
+        return sum(blk.dim for blk in self.blocks) + self.slack_rows.shape[0]
 
 
 @dataclass
 class IpmResult:
     status: str                              # Optimal | Infeasible | Unbounded | MaxIter
-    x: List[np.ndarray]
+    x: List[np.ndarray]                      # PSD blocks; the slacks are not reported
     x_free: np.ndarray
     y: np.ndarray
-    z: List[np.ndarray]
+    z: List[np.ndarray]                      # dual PSD blocks
     pobj: float
     dobj: float
     res_primal: float
@@ -107,7 +110,7 @@ class IpmResult:
     iterations: int
     termination: str                         # why the iteration stopped; one of TERMINATIONS
     history: List[dict] = field(default_factory=list)
-    certificate: Optional[dict] = None       # dual/primal improving ray when infeasible/unbounded
+    certificate: Optional[dict] = None       # dual ray, or primal ray over the PSD blocks and x_free
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -140,50 +143,47 @@ def _as_slice(idx: np.ndarray):
 
 
 class _BlockA:
-    """Constraint coefficients for one cone block, in flat sparse form."""
+    """Constraint coefficients for one PSD block, in flat sparse form."""
 
     def __init__(self, blk: Block, rows: np.ndarray, coeff: np.ndarray):
         self.rows = rows
         sel = _as_slice(rows)
         # where this block's rows x rows entries sit in the Schur matrix
         self.schur_index = (sel, sel) if isinstance(sel, slice) else np.ix_(rows, rows)
-        self.is_psd = blk.kind == PSD
         n_local = rows.shape[0]
         flat = coeff.reshape(n_local, -1)
         self.mat = sp.csr_matrix(flat)
         self.mat_t = self.mat.T.tocsr()
         self.n = blk.dim
-        if self.is_psd:
-            nnz_per_row = np.diff(self.mat.indptr)
-            dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
-            sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
-            self.dense_sel, self.sparse_sel = _as_slice(dense_idx), _as_slice(sparse_idx)
-            self.dense_stack = coeff[dense_idx] if dense_idx.size else None
-            self.slot_col = None
-            if sparse_idx.size:
-                # slot q of sparse row r holds the row's q-th stored entry in
-                # CSR order (flat column, value), zero-padded to the longest row
-                sub = self.mat[sparse_idx]
-                counts = np.diff(sub.indptr)
-                row = np.repeat(np.arange(sparse_idx.size), counts)
-                slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], counts)
-                shape = (max(1, int(counts.max())), sparse_idx.size)
-                self.slot_col = np.zeros(shape, dtype=int)
-                self.slot_val = np.zeros(shape)
-                self.slot_col[slot, row] = sub.indices
-                self.slot_val[slot, row] = sub.data
-                self.pad_i, self.pad_j = np.divmod(self.slot_col.T, self.n)
+        nnz_per_row = np.diff(self.mat.indptr)
+        dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
+        sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
+        self.dense_sel, self.sparse_sel = _as_slice(dense_idx), _as_slice(sparse_idx)
+        self.dense_stack = coeff[dense_idx] if dense_idx.size else None
+        self.slot_col = None
+        if sparse_idx.size:
+            # slot q of sparse row r holds the row's q-th stored entry in
+            # CSR order (flat column, value), zero-padded to the longest row
+            sub = self.mat[sparse_idx]
+            counts = np.diff(sub.indptr)
+            row = np.repeat(np.arange(sparse_idx.size), counts)
+            slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], counts)
+            shape = (max(1, int(counts.max())), sparse_idx.size)
+            self.slot_col = np.zeros(shape, dtype=int)
+            self.slot_val = np.zeros(shape)
+            self.slot_col[slot, row] = sub.indices
+            self.slot_val[slot, row] = sub.data
+            self.pad_i, self.pad_j = np.divmod(self.slot_col.T, self.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A_block(x): one inner product per local row."""
         return self.mat @ x.ravel()
 
     def apply_t(self, y_local: np.ndarray) -> np.ndarray:
-        out = self.mat_t @ y_local
-        return out.reshape(self.n, self.n) if self.is_psd else out
+        return (self.mat_t @ y_local).reshape(self.n, self.n)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
-        """M_local = [tr(C_r W C_s W)]_{rs} for the NT matrix ``w`` (PSD blocks).
+        """M_local = [tr(C_r W C_s W)]_{rs} for the NT matrix ``w``.
 
         With U_s = W C_s W flattened, entry (r, s) is row r of ``mat``
         contracted with U_s term by term in CSR order, starting from zero,
@@ -191,7 +191,7 @@ class _BlockA:
         result is the same to the last bit.  Elementary rows (the common
         case: subblock-coupling constraints) form U_s as padded batched
         rank-one updates W C W = sum_t v_t (W e_i)(W e_j)^T, avoiding dense
-        triple products.
+        triple products.  The result is exactly symmetric.
         """
         u_dense = u_sparse = None
         if self.dense_stack is not None:
@@ -222,10 +222,11 @@ class _BlockA:
         return _sym(self.mat @ u_t)
 
 
-def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xf: np.ndarray) -> np.ndarray:
+def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xs: np.ndarray, xf: np.ndarray) -> np.ndarray:
     out = np.zeros(prog.n_rows)
     for op, xb in zip(ops, x):
         out[op.rows] += op.apply(xb)
+    out[prog.slack_rows] += prog.slack_coef * xs
     return out + prog.a_free @ xf
 
 
@@ -255,53 +256,44 @@ def _max_step_nonneg(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 class _NTScaling:
-    """Per-block NT scaling data for one iteration."""
+    """NT scaling data for one iteration: per PSD block, and for the slacks."""
 
-    def __init__(self, blocks, x, z):
-        self.w = []        # NT matrix (psd) or w^2 vector (nonneg)
+    def __init__(self, x, z, xs, zs):
+        self.w = []        # NT matrix W
         self.g = []        # factor G with W = G G^T
         self.ginv = []
         self.lam = []      # scaled-point spectrum
-        self.lx = []       # Cholesky factors of x and z (psd), reused by the step length
+        self.lx = []       # Cholesky factors of x and z, reused by the step length
         self.lz = []
-        for blk, xb, zb in zip(blocks, x, z):
-            if blk.kind == PSD:
-                lx = np.linalg.cholesky(xb)
-                lz = np.linalg.cholesky(zb)
-                self.lx.append(lx)
-                self.lz.append(lz)
-                u, s, vt = np.linalg.svd(lz.T @ lx)
-                s = np.maximum(s, 1e-300)
-                g = lx @ vt.T / np.sqrt(s)
-                ginv = (vt.T * np.sqrt(s)).T @ sla.solve_triangular(lx, np.eye(blk.dim), lower=True)
-                self.g.append(g)
-                self.ginv.append(ginv)
-                self.w.append(_sym(g @ g.T))
-                self.lam.append(s)
-            else:
-                self.g.append(np.sqrt(xb / zb))
-                self.ginv.append(None)
-                self.w.append(xb / zb)
-                self.lam.append(np.sqrt(xb * zb))
-                self.lx.append(None)
-                self.lz.append(None)
+        for xb, zb in zip(x, z):
+            lx = np.linalg.cholesky(xb)
+            lz = np.linalg.cholesky(zb)
+            self.lx.append(lx)
+            self.lz.append(lz)
+            u, s, vt = np.linalg.svd(lz.T @ lx)
+            s = np.maximum(s, 1e-300)
+            g = lx @ vt.T / np.sqrt(s)
+            ginv = (vt.T * np.sqrt(s)).T @ sla.solve_triangular(lx, np.eye(xb.shape[0]), lower=True)
+            self.g.append(g)
+            self.ginv.append(ginv)
+            self.w.append(_sym(g @ g.T))
+            self.lam.append(s)
+        self.w_slack = xs / zs
 
-    def apply(self, j: int, v: np.ndarray, blocks) -> np.ndarray:
-        """H_j(v) = W v W for PSD, w^2 * v for nonneg."""
-        if blocks[j].kind == PSD:
-            return self.w[j] @ v @ self.w[j]
-        return self.w[j] * v
+    def apply(self, j: int, v: np.ndarray) -> np.ndarray:
+        """H_j(v) = W v W for block j."""
+        return self.w[j] @ v @ self.w[j]
 
 
 def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
+    """The Schur complement A H A^T, exactly symmetric: every ``gram`` is,
+    and the slacks add to the diagonal only."""
     m = np.zeros((prog.n_rows, prog.n_rows))
-    for j, (blk, op) in enumerate(zip(prog.blocks, ops)):
-        if blk.kind == PSD:
-            m[op.schur_index] += op.gram(nt.w[j])
-        else:
-            dense = op.mat.multiply(nt.w[j][np.newaxis, :]) @ op.mat.T
-            m[op.schur_index] += np.asarray(dense.todense())
-    return _sym(m)
+    for j, op in enumerate(ops):
+        m[op.schur_index] += op.gram(nt.w[j])
+    r = prog.slack_rows
+    m[r, r] += prog.slack_coef * nt.w_slack * prog.slack_coef
+    return m
 
 
 class _SchurSolver:
@@ -338,12 +330,7 @@ class _SchurSolver:
         return dy + e1, dxf + e2
 
 
-def solve_cone_program(
-    prog: ConeProgram,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    target_tol: float = 1e-10,
-) -> IpmResult:
+def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_tol: float) -> IpmResult:
     """Run the predictor-corrector NT interior-point method.
 
     ``tol`` is the acceptance threshold for status Optimal; the iteration
@@ -356,13 +343,13 @@ def solve_cone_program(
     if nu == 0:
         raise ValueError("program has no cone variables")
     m_rows = prog.n_rows
+    srows = prog.slack_rows
 
     # -- row equilibration: unit max coefficient norm per constraint --------
     row_scale = np.zeros(m_rows)
-    for j, blk in enumerate(prog.blocks):
-        rows, coeff = prog.a_rows[j], prog.a_coeff[j]
-        axes = (1, 2) if blk.kind == PSD else 1
-        np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=axes)))
+    for rows, coeff in zip(prog.a_rows, prog.a_coeff):
+        np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=(1, 2))))
+    np.maximum.at(row_scale, srows, np.abs(prog.slack_coef))
     row_scale = np.maximum(row_scale, np.sqrt(np.sum(prog.a_free**2, axis=1)))
     row_scale = np.maximum(row_scale, 1e-12)
     # free-column equilibration balances t-like variables against the blocks;
@@ -373,15 +360,16 @@ def solve_cone_program(
         blocks=prog.blocks,
         c=prog.c,
         a_rows=prog.a_rows,
-        a_coeff=[
-            coeff / row_scale[rows].reshape((-1,) + (1,) * (coeff.ndim - 1))
-            for rows, coeff in zip(prog.a_rows, prog.a_coeff)
-        ],
+        a_coeff=[coeff / row_scale[rows][:, np.newaxis, np.newaxis]
+                 for rows, coeff in zip(prog.a_rows, prog.a_coeff)],
         b=prog.b / row_scale,
         c_free=prog.c_free / col_scale,
         a_free=a_free / col_scale,
+        slack_rows=srows,
+        slack_coef=prog.slack_coef / row_scale[srows],
     )
     af = prog.a_free
+    scoef = prog.slack_coef
 
     ops = [_BlockA(blk, rows, coeff) for blk, rows, coeff in zip(prog.blocks, prog.a_rows, prog.a_coeff)]
 
@@ -392,15 +380,10 @@ def solve_cone_program(
     cf_s = prog.c_free / norm_c
     b_s = prog.b / norm_b
 
-    x = []
-    z = []
-    for blk in blocks:
-        if blk.kind == PSD:
-            x.append(np.eye(blk.dim))
-            z.append(np.eye(blk.dim))
-        else:
-            x.append(np.ones(blk.dim))
-            z.append(np.ones(blk.dim))
+    x = [np.eye(blk.dim) for blk in blocks]
+    z = [np.eye(blk.dim) for blk in blocks]
+    xs = np.ones(srows.shape[0])
+    zs = np.ones(srows.shape[0])
     xf = np.zeros(af.shape[1])
     y = np.zeros(m_rows)
 
@@ -408,25 +391,28 @@ def solve_cone_program(
     best = None
     stall = 0
 
-    # sums over blocks take the free terms last; another order rounds differently
-    def residuals(x, xf, y, z):
-        rp = b_s - _apply_a(ops, prog, x, xf)
+    # sums take the blocks first, then the slacks, then the free terms;
+    # another order rounds differently
+    def residuals(x, xs, xf, y, z, zs):
+        rp = b_s - _apply_a(ops, prog, x, xs, xf)
         aty = _apply_at(ops, y)
         rd = [c_s[j] - aty[j] - z[j] for j in range(len(blocks))]
+        rd_s = -scoef * y[srows] - zs
         rd_f = cf_s - af.T @ y
         pobj = _inner(c_s + [cf_s], x + [xf])
         dobj = float(b_s @ y)
         res_p = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b_s)))
-        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd + [rd_f]))) / (
+        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd + [rd_s, rd_f]))) / (
             1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s + [cf_s])))
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, rd, rd_f, pobj, dobj, res_p, res_d, gap
+        return rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap
 
-    def record_best(metric, x, xf, y, z):
+    def record_best(metric, x, xs, xf, y, z, zs):
         nonlocal best
         if best is None or metric < best[0]:
-            best = (metric, [xb.copy() for xb in x], xf.copy(), y.copy(), [zb.copy() for zb in z])
+            best = (metric, [xb.copy() for xb in x], xs.copy(), xf.copy(), y.copy(),
+                    [zb.copy() for zb in z], zs.copy())
 
     def check_infeasible(yv):
         """Dual improving ray: b^T y > 0, -A^T y in the dual cone and A_f^T y = 0."""
@@ -437,31 +423,28 @@ def solve_cone_program(
         improvement = float(b_s @ yn)
         if improvement < INFEAS_TOL:
             return None
-        aty = _apply_at(ops, yn)
         viol = 0.0
         scale = 1.0
-        for j, blk in enumerate(blocks):
-            zj = -aty[j]
-            if blk.kind == PSD:
-                scale = max(scale, float(np.linalg.norm(zj)))
-                viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(zj))[0])))
-            else:
-                scale = max(scale, float(np.max(np.abs(zj))) if zj.size else 0.0)
-                viol = max(viol, max(0.0, -float(np.min(zj))) if zj.size else 0.0)
+        for aty in _apply_at(ops, yn):
+            scale = max(scale, float(np.linalg.norm(aty)))
+            viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(-aty))[0])))
+        zs_ray = -(scoef * yn[srows])
+        scale = max(scale, float(np.max(np.abs(zs_ray), initial=0.0)))
+        viol = max(viol, max(0.0, -float(np.min(zs_ray, initial=0.0))))
         viol = max(viol, float(np.max(np.abs(af.T @ yn), initial=0.0)))
         if viol <= 1e-9 * scale:
             return {"kind": "dual_ray", "y": yn, "improvement": improvement, "cone_violation": viol}
         return None
 
-    def check_unbounded(xv, xfv):
-        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xfv])))
+    def check_unbounded(xv, xsv, xfv):
+        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xsv, xfv])))
         if nx < 1e-12:
             return None
-        xr, xfr = [b / nx for b in xv], xfv / nx
+        xr, xsr, xfr = [b / nx for b in xv], xsv / nx, xfv / nx
         rate = _inner(c_s + [cf_s], xr + [xfr])
         if rate > -INFEAS_TOL:
             return None
-        if float(np.linalg.norm(_apply_a(ops, prog, xr, xfr))) <= 1e-9:
+        if float(np.linalg.norm(_apply_a(ops, prog, xr, xsr, xfr))) <= 1e-9:
             return {"kind": "primal_ray", "x": xr, "x_free": xfr, "objective_rate": rate}
         return None
 
@@ -470,8 +453,8 @@ def solve_cone_program(
     it = 0
     no_progress = 0
     for it in range(1, max_iter + 1):
-        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xf, y, z)
-        mu = _inner(x, z) / nu
+        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xs, xf, y, z, zs)
+        mu = (_inner(x, z) + float(np.sum(xs * zs))) / nu
         # at large objective magnitudes gap_rel bottoms out on cancellation noise;
         # mu is then the sharper complementarity measure
         mu_rel = abs(mu) * nu / (1.0 + abs(pobj) + abs(dobj))
@@ -480,7 +463,7 @@ def solve_cone_program(
             no_progress += 1
         else:
             no_progress = 0
-        record_best(metric, x, xf, y, z)
+        record_best(metric, x, xs, xf, y, z, zs)
         history.append(
             {
                 "iter": it - 1,
@@ -506,76 +489,68 @@ def solve_cone_program(
                 status, termination, certificate = "Infeasible", "dual_ray", cert
                 break
         if it > 5:
-            cert = check_unbounded(x, xf)
+            cert = check_unbounded(x, xs, xf)
             if cert is not None:
                 status, termination, certificate = "Unbounded", "primal_ray", cert
                 break
 
         try:
-            nt = _NTScaling(blocks, x, z)
+            nt = _NTScaling(x, z, xs, zs)
             solver = _SchurSolver(_schur(ops, prog, nt), af)
         except np.linalg.LinAlgError:
             termination = "schur_failure"
             break
 
-        def newton(rc_blocks):
+        def newton(rc_blocks, rc_slack):
             rhs = rp.copy()
             for j, op in enumerate(ops):
-                hv = nt.apply(j, rd[j], blocks)
+                hv = nt.apply(j, rd[j])
                 rhs[op.rows] -= op.apply(rc_blocks[j] - hv)
+            rhs[srows] -= scoef * (rc_slack - nt.w_slack * rd_s)
             dy, dxf = solver.solve(rhs, rd_f)
             aty = _apply_at(ops, dy)
-            dx, dz = [], []
-            for j, blk in enumerate(blocks):
-                dzj = rd[j] - aty[j]
-                if blk.kind == PSD:
-                    dzj = _sym(dzj)
-                dxj = rc_blocks[j] - nt.apply(j, dzj, blocks)
-                if blk.kind == PSD:
-                    dxj = _sym(dxj)
-                dz.append(dzj)
-                dx.append(dxj)
-            return dx, dxf, dy, dz
+            dz = [_sym(rd[j] - aty[j]) for j in range(len(blocks))]
+            dx = [_sym(rc_blocks[j] - nt.apply(j, dz[j])) for j in range(len(blocks))]
+            dzs = rd_s - scoef * dy[srows]
+            dxs = rc_slack - nt.w_slack * dzs
+            return dx, dxs, dxf, dy, dz, dzs
 
-        def max_steps(dx, dz):
+        def max_steps(dx, dxs, dz, dzs):
             ap = ad = np.inf
-            for j, blk in enumerate(blocks):
-                if blk.kind == PSD:
-                    ap = min(ap, _max_step_psd(nt.lx[j], dx[j]))
-                    ad = min(ad, _max_step_psd(nt.lz[j], dz[j]))
-                else:
-                    ap = min(ap, _max_step_nonneg(x[j], dx[j]))
-                    ad = min(ad, _max_step_nonneg(z[j], dz[j]))
+            for j in range(len(blocks)):
+                ap = min(ap, _max_step_psd(nt.lx[j], dx[j]))
+                ad = min(ad, _max_step_psd(nt.lz[j], dz[j]))
+            ap = min(ap, _max_step_nonneg(xs, dxs))
+            ad = min(ad, _max_step_nonneg(zs, dzs))
             return ap, ad
 
         # predictor (affine) step
-        dx_a, _, dy_a, dz_a = newton([-xb for xb in x])
-        ap_a, ad_a = max_steps(dx_a, dz_a)
+        dx_a, dxs_a, _, dy_a, dz_a, dzs_a = newton([-xb for xb in x], -xs)
+        ap_a, ad_a = max_steps(dx_a, dxs_a, dz_a, dzs_a)
         ap_a, ad_a = min(1.0, STEP_FRAC * ap_a), min(1.0, STEP_FRAC * ad_a)
         gap_now = mu * nu
         gap_aff = 0.0
         for j in range(len(blocks)):
             gap_aff += float(np.sum((x[j] + ap_a * dx_a[j]) * (z[j] + ad_a * dz_a[j])))
+        gap_aff += float(np.sum((xs + ap_a * dxs_a) * (zs + ad_a * dzs_a)))
         sigma = min(0.99, max(1e-10, (max(gap_aff, 0.0) / gap_now) ** 3))
 
         # corrector: scaled-space Mehrotra second-order term
         rc = []
-        for j, blk in enumerate(blocks):
-            if blk.kind == PSD:
-                g, ginv, lam = nt.g[j], nt.ginv[j], nt.lam[j]
-                d_x = ginv @ dx_a[j] @ ginv.T
-                d_z = g.T @ dz_a[j] @ g
-                nmat = -np.diag(lam**2) - _sym(d_x @ d_z)
-                nmat[np.diag_indices_from(nmat)] += sigma * mu
-                rc_s = 2.0 * nmat / np.add.outer(lam, lam)
-                rc.append(_sym(g @ rc_s @ g.T))
-            else:
-                rc.append((sigma * mu - x[j] * z[j] - dx_a[j] * dz_a[j]) / z[j])
-        dx, dxf, dy, dz = newton(rc)
-        if any(not np.all(np.isfinite(d)) for d in dx + [dxf]) or not np.all(np.isfinite(dy)):
+        for j in range(len(blocks)):
+            g, ginv, lam = nt.g[j], nt.ginv[j], nt.lam[j]
+            d_x = ginv @ dx_a[j] @ ginv.T
+            d_z = g.T @ dz_a[j] @ g
+            nmat = -np.diag(lam**2) - _sym(d_x @ d_z)
+            nmat[np.diag_indices_from(nmat)] += sigma * mu
+            rc_s = 2.0 * nmat / np.add.outer(lam, lam)
+            rc.append(_sym(g @ rc_s @ g.T))
+        rc_slack = (sigma * mu - xs * zs - dxs_a * dzs_a) / zs
+        dx, dxs, dxf, dy, dz, dzs = newton(rc, rc_slack)
+        if any(not np.all(np.isfinite(d)) for d in dx + [dxs, dxf]) or not np.all(np.isfinite(dy)):
             termination = "nonfinite_direction"
             break
-        ap, ad = max_steps(dx, dz)
+        ap, ad = max_steps(dx, dxs, dz, dzs)
         ap, ad = min(1.0, STEP_FRAC * ap), min(1.0, STEP_FRAC * ad)
         if min(ap, ad) < 1e-8:
             stall += 1
@@ -586,27 +561,26 @@ def solve_cone_program(
             stall = 0
 
         for j, blk in enumerate(blocks):
-            x[j] = x[j] + ap * dx[j]
-            z[j] = z[j] + ad * dz[j]
-            if blk.kind == PSD:
-                x[j] = _sym(x[j])
-                z[j] = _sym(z[j])
-                if blk.embed_dim is not None:
-                    x[j] = _embed_project(x[j], blk.embed_dim)
-                    z[j] = _embed_project(z[j], blk.embed_dim)
+            x[j] = _sym(x[j] + ap * dx[j])
+            z[j] = _sym(z[j] + ad * dz[j])
+            if blk.embed_dim is not None:
+                x[j] = _embed_project(x[j], blk.embed_dim)
+                z[j] = _embed_project(z[j], blk.embed_dim)
+        xs = xs + ap * dxs
+        zs = zs + ad * dzs
         xf = xf + ap * dxf
         y = y + ad * dy
 
     if status in ("MaxIter", "Optimal") and best is not None:
         # report the best iterate seen (current one, unless we stalled past it)
-        _, bx, bxf, by, bz = best
-        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(bx, bxf, by, bz)
+        _, bx, bxs, bxf, by, bz, bzs = best
+        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(bx, bxs, bxf, by, bz, bzs)
         metric = max(res_p, res_d, gap)
         if status != "Optimal" and metric <= tol:
             status = "Optimal"
         x, xf, y, z = bx, bxf, by, bz
     else:
-        rp, rd, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xf, y, z)
+        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xs, xf, y, z, zs)
 
     # undo data scaling (row equilibration folds into the multipliers)
     y_out = y * norm_c / row_scale

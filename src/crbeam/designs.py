@@ -307,9 +307,6 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
             "t_star": sol.scalars["t"],
             "eig_ratios": ratios,
             "duals": duals,
-            "sdp_status": sol.status,
-            "sdp_residuals": sol.residuals,
-            "sdp_iterations": sol.iterations,
             "w_blocks": w_blocks,
             "sdp": sol,
         },
@@ -435,10 +432,6 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
             "w_bars": w_bars,
             "w_aux_bar": w_aux_bar,
             "w_tilde": w_tilde,
-            "sdp_status": sol.status,
-            "sdp_residuals": sol.residuals,
-            "sdp_iterations": sol.iterations,
-            "epigraph_value": sol.pobj,
             "sdp": sol,
         },
     )

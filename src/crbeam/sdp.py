@@ -155,12 +155,8 @@ def _build_cone_program(p: SdpProblem):
     p.validate()
     block_names = [n for n, _ in p.blocks]
     block_index = {n: j for j, n in enumerate(block_names)}
-    ineq_rows = [i for i, c in enumerate(p.constraints) if c.sense != "=="]
-    n_slack = len(ineq_rows)
 
-    blocks = [
-        _ipm.Block(_ipm.PSD, 2 * dim, embed_dim=dim) for _, dim in p.blocks
-    ]
+    blocks = [_ipm.Block(2 * dim, embed_dim=dim) for _, dim in p.blocks]
     c = [embed_hermitian(np.asarray(p.objective_blocks.get(name, np.zeros((dim, dim))), dtype=complex)) / 2
          for name, dim in p.blocks]
     rows_per_block = [[] for _ in p.blocks]
@@ -173,16 +169,9 @@ def _build_cone_program(p: SdpProblem):
 
     a_rows = [np.array(rows, dtype=int) for rows in rows_per_block]
     a_coeff = [np.array(coeff) for coeff in coeff_per_block]
-
-    if n_slack:
-        blocks.append(_ipm.Block(_ipm.NONNEG, n_slack))
-        c.append(np.zeros(n_slack))
-        srows = np.array(ineq_rows, dtype=int)
-        scoef = np.zeros((n_slack, n_slack))
-        for s, r in enumerate(ineq_rows):
-            scoef[s, s] = -1.0 if p.constraints[r].sense == ">=" else 1.0
-        a_rows.append(srows)
-        a_coeff.append(scoef)
+    # a slack s >= 0 turns row i into an equality: a_i x - s = b_i for '>=', + s for '<='
+    slack_rows = np.array([i for i, con in enumerate(p.constraints) if con.sense != "=="], dtype=int)
+    slack_coef = np.array([-1.0 if p.constraints[i].sense == ">=" else 1.0 for i in slack_rows])
 
     scalar_index = {s: j for j, s in enumerate(p.free_scalars)}
     c_free = np.zeros(len(p.free_scalars))
@@ -194,7 +183,8 @@ def _build_cone_program(p: SdpProblem):
             a_free[i, scalar_index[s]] = v
 
     b = np.array([con.rhs for con in p.constraints], dtype=float)
-    prog = _ipm.ConeProgram(blocks=blocks, c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free)
+    prog = _ipm.ConeProgram(blocks=blocks, c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free,
+                            slack_rows=slack_rows, slack_coef=slack_coef)
     return prog, block_names
 
 

@@ -3,8 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from crbeam import _ipm
+from crbeam.designs import design_extended_multi, design_point_multi
 from crbeam.errors import DimensionMismatch
 from crbeam.sdp import (
     SdpProblem,
@@ -17,7 +19,7 @@ from crbeam.sdp import (
     unembed_hermitian,
 )
 
-from conftest import complex_gaussian, random_hermitian
+from conftest import complex_gaussian, make_scenario, random_hermitian
 
 
 def scalar_lower_bound_problem():
@@ -249,6 +251,45 @@ class TestFreeColumns:
         assert y[1] > 0
 
 
+def scattered_slack_problem(sense0=">=", rhs3=2.5):
+    # min X11 + 2 X22 with X11 (sense0) 1, Re X12 = 0, X22 <= 3, tr X >= rhs3:
+    # slack rows 0, 2 and 3 with an equality row between them
+    p = SdpProblem()
+    p.add_block("X", 2)
+    p.set_objective({"X": np.diag([1.0, 2.0]).astype(complex)})
+    p.add_constraint({"X": elem_re(2, 0, 0)}, sense=sense0, rhs=1.0)
+    p.add_constraint({"X": elem_re(2, 0, 1)}, sense="==", rhs=0.0)
+    p.add_constraint({"X": elem_re(2, 1, 1)}, sense="<=", rhs=3.0)
+    p.add_constraint({"X": np.eye(2, dtype=complex)}, sense=">=", rhs=rhs3)
+    return p
+
+
+class TestSlacks:
+    def test_scattered_slack_rows_optimal(self):
+        # optimum X = diag(2.5, 0): rows 0 and 2 slack, row 3 binding
+        p = scattered_slack_problem()
+        sol = solve(p)
+        assert sol.status == "Optimal"
+        assert sol.pobj == pytest.approx(2.5, abs=1e-7)
+        assert np.allclose(sol.primal_blocks["X"], np.diag([2.5, 0.0]), atol=1e-7)
+        rep = check_certificate(p, sol)
+        assert max(rep["primal"], rep["dual"], rep["gap"]) <= SolveOptions().tol
+
+    def test_scattered_slack_rows_infeasible_ray(self):
+        # X11 <= 1 and X22 <= 3 cap tr X at 4 < 5
+        p = scattered_slack_problem(sense0="<=", rhs3=5.0)
+        sol = solve(p)
+        assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
+        y = sol.certificate["y"]
+        tol = 1e-9 * np.linalg.norm(y)
+        senses = [con.sense for con in p.constraints]
+        assert all(yi >= -tol for yi, sense in zip(y, senses) if sense == ">=")
+        assert all(yi <= tol for yi, sense in zip(y, senses) if sense == "<=")
+        z_ray = -sum(yi * con.block_coeffs["X"] for yi, con in zip(y, p.constraints))
+        assert np.linalg.eigvalsh(z_ray)[0] >= -tol
+        assert y @ np.array([con.rhs for con in p.constraints]) > 0
+
+
 class TestCertificate:
     def test_hand_built_optimal_pair(self):
         p = scalar_lower_bound_problem()
@@ -314,12 +355,12 @@ def reference_gram(op, w):
 
 def reference_schur(ops, prog, nt):
     m = np.zeros((prog.n_rows, prog.n_rows))
-    for op, blk, w in zip(ops, prog.blocks, nt.w):
-        if blk.kind == _ipm.PSD:
-            m[np.ix_(op.rows, op.rows)] += reference_gram(op, w)
-        else:
-            dense = op.mat.multiply(w[np.newaxis, :]) @ op.mat.T
-            m[np.ix_(op.rows, op.rows)] += np.asarray(dense.todense())
+    for op, w in zip(ops, nt.w):
+        m[np.ix_(op.rows, op.rows)] += reference_gram(op, w)
+    # the slacks as a sparse diagonal block: S diag(w) S^T
+    mat = scipy.sparse.csr_matrix(np.diag(prog.slack_coef))
+    dense = mat.multiply(nt.w_slack[np.newaxis, :]) @ mat.T
+    m[np.ix_(prog.slack_rows, prog.slack_rows)] += np.asarray(dense.todense())
     return _ipm._sym(m)
 
 
@@ -355,56 +396,70 @@ def random_pd(rng, n):
 
 
 def schur_program(rng):
-    """Blocks covering every row mix and row-set shape _schur distinguishes."""
+    """Blocks covering every row mix and row-set shape _schur distinguishes,
+    and slacks on scattered rows."""
     n_rows = 40
     spec = [
         # contiguous rows: elementary, dense, diagonal and zero rows mixed
-        (_ipm.PSD, 6, np.arange(0, 12), ["elem", "dense", "elem", "diag", "zero", "elem",
-                                          "dense", "elem", "elem", "diag", "elem", "zero"]),
+        (6, np.arange(0, 12), ["elem", "dense", "elem", "diag", "zero", "elem",
+                               "dense", "elem", "elem", "diag", "elem", "zero"]),
         # non-contiguous rows, elementary only (n = 20: diagonal rows are dense)
-        (_ipm.PSD, 20, np.array([3, 5, 12, 13, 30, 39]), ["elem", "zero", "elem", "elem", "elem", "elem"]),
+        (20, np.array([3, 5, 12, 13, 30, 39]), ["elem", "zero", "elem", "elem", "elem", "elem"]),
         # non-contiguous rows; diagonal rows above the dense threshold
-        (_ipm.PSD, 20, np.array([1, 2, 7, 14, 15, 22, 31]), ["diag", "elem", "dense", "elem", "diag", "zero", "elem"]),
+        (20, np.array([1, 2, 7, 14, 15, 22, 31]), ["diag", "elem", "dense", "elem", "diag", "zero", "elem"]),
         # diagonal-only rows below the threshold, contiguous
-        (_ipm.PSD, 4, np.arange(20, 26), ["diag"] * 6),
+        (4, np.arange(20, 26), ["diag"] * 6),
         # all-zero rows
-        (_ipm.PSD, 3, np.arange(26, 29), ["zero"] * 3),
-        # nonnegative block, non-contiguous rows
-        (_ipm.NONNEG, 5, np.array([0, 8, 16, 33, 38]), None),
+        (3, np.arange(26, 29), ["zero"] * 3),
     ]
     blocks, rows, coeff, w = [], [], [], []
-    for kind, dim, r, kinds in spec:
-        blocks.append(_ipm.Block(kind, dim))
+    for dim, r, kinds in spec:
+        blocks.append(_ipm.Block(dim))
         rows.append(r)
-        if kind == _ipm.PSD:
-            coeff.append(mixed_rows(rng, dim, kinds))
-            w.append(random_pd(rng, dim))
-        else:
-            coeff.append(rng.standard_normal((r.size, dim)) * (rng.random((r.size, dim)) < 0.6))
-            w.append(rng.random(dim) + 0.1)
+        coeff.append(mixed_rows(rng, dim, kinds))
+        w.append(random_pd(rng, dim))
+    slack_rows = np.array([0, 8, 16, 33, 38])
     prog = _ipm.ConeProgram(blocks=blocks, c=[None] * len(blocks), a_rows=rows, a_coeff=coeff,
-                            b=np.zeros(n_rows), c_free=np.zeros(0), a_free=np.zeros((n_rows, 0)))
+                            b=np.zeros(n_rows), c_free=np.zeros(0), a_free=np.zeros((n_rows, 0)),
+                            slack_rows=slack_rows, slack_coef=rng.standard_normal(slack_rows.size))
     ops = [_ipm._BlockA(blk, r, c) for blk, r, c in zip(blocks, rows, coeff)]
-    return prog, ops, SimpleNamespace(w=w)
+    return prog, ops, SimpleNamespace(w=w, w_slack=rng.random(slack_rows.size) + 0.1)
 
 
 class TestSchurAssembly:
     def test_gram_equals_plain_formula_bitwise(self, rng):
         for _ in range(3):
             prog, ops, nt = schur_program(rng)
-            for op, blk, w in zip(ops, prog.blocks, nt.w):
-                if blk.kind == _ipm.PSD:
-                    assert np.array_equal(op.gram(w), reference_gram(op, w))
+            for op, w in zip(ops, nt.w):
+                assert np.array_equal(op.gram(w), reference_gram(op, w))
 
     def test_schur_equals_plain_formula_bitwise(self, rng):
         for _ in range(3):
             prog, ops, nt = schur_program(rng)
             # contiguous and scattered row sets, elementary-only and mixed blocks
             assert {isinstance(op.schur_index[0], slice) for op in ops} == {True, False}
-            psd = [op for op in ops if op.is_psd]
-            assert any(op.dense_stack is None for op in psd)
-            assert any(op.dense_stack is not None and op.slot_col is not None for op in psd)
+            assert any(op.dense_stack is None for op in ops)
+            assert any(op.dense_stack is not None and op.slot_col is not None for op in ops)
             assert np.array_equal(_ipm._schur(ops, prog, nt), reference_schur(ops, prog, nt))
+
+    def test_schur_is_exactly_symmetric_on_design_iterates(self, monkeypatch):
+        # every gram is symmetric to the bit and slacks touch only the diagonal,
+        # so _schur needs no final symmetrisation
+        calls = []
+        schur = _ipm._schur
+
+        def checked(*args):
+            m = schur(*args)
+            calls.append(np.array_equal(m, m.T))
+            return m
+
+        monkeypatch.setattr(_ipm, "_schur", checked)
+        rng = np.random.default_rng(7)
+        design_point_multi(make_scenario(rng, k=2, n_tx=6, n_rx=8, gamma_db=10.0))
+        n_point = len(calls)
+        design_extended_multi(make_scenario(rng, k=2, n_tx=6, n_rx=8, gamma_db=10.0))
+        assert 0 < n_point < len(calls)
+        assert all(calls)
 
     def test_gram_matches_trace_formula(self, rng):
         prog, ops, nt = schur_program(rng)
