@@ -5,7 +5,7 @@ Solves
     minimize    <c, x> + c_f^T x_f
     subject to  A x + A_f x_f = b,   x in K,
 
-where ``K`` is a product of real symmetric PSD blocks and ``A x``
+where ``K`` is a product of complex Hermitian PSD blocks and ``A x``
 includes the inequality slacks: slack s_i >= 0 enters row ``slack_rows[i]``
 alone, with coefficient ``slack_coef[i]``, so each adds one term to the
 diagonal of the Schur complement.  The free variables x_f enter through the dense columns A_f (a
@@ -15,12 +15,13 @@ step; the free columns border the Newton system's Schur complement.
 Slacks and free variables are internal: the result reports the PSD
 blocks in ``x`` and ``z``, and the free variables in ``x_free``.
 
-Complex Hermitian blocks are handled one layer up (:mod:`crbeam.sdp`)
-through the real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``.
-Blocks carrying ``embed_dim`` metadata are kept on that structured
-subspace by an orthogonal projection each iteration, which plays the
-role of explicit skew-symmetry equality constraints without enlarging
-the Newton system.
+The iteration is real: on entry ``solve_cone_program`` maps each n x n
+block X to its embedding ``[[Re X, -Im X], [Im X, Re X]]`` and each
+coefficient C to half of its own, so inner products are unchanged, and
+it maps the results back on exit.  An orthogonal projection each
+iteration keeps the iterates on the embedding's structured subspace,
+which plays the role of explicit skew-symmetry equality constraints
+without enlarging the Newton system.
 
 Constraint coefficient matrices are mostly elementary (a few nonzero
 entries coupling block entries), so the Schur complement is assembled
@@ -36,6 +37,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+from .numerics import hermitize
 
 # Why solve_cone_program stopped.  The status says what the reported
 # (best) iterate achieves; the termination says which exit was taken, so
@@ -57,30 +60,18 @@ STEP_FRAC = 0.99     # fraction of the distance to the cone boundary each step t
 INFEAS_TOL = 1e-6    # least objective improvement rate of an infeasibility ray
 
 
-@dataclass(frozen=True)
-class Block:
-    """One real symmetric PSD block of size ``dim``."""
-
-    dim: int
-    embed_dim: Optional[int] = None  # complex dimension when this block is an embedding
-
-    def __post_init__(self):
-        if self.embed_dim is not None and 2 * self.embed_dim != self.dim:
-            raise ValueError("embedded PSD block must have dim = 2 * embed_dim")
-
-
 @dataclass
 class ConeProgram:
     """Block-structured conic program in equality standard form.
 
+    Block j is a complex Hermitian PSD matrix of size n = ``a_coeff[j].shape[-1]``.
     Every cone block appears in at least one row (``SdpProblem.validate``),
     so each block's ``a_rows`` is a nonempty index array.
     """
 
-    blocks: List[Block]
-    c: List[np.ndarray]                       # objective per block
+    c: List[np.ndarray]                       # per block: (n, n) Hermitian objective
     a_rows: List[np.ndarray]                  # per block: indices of the rows it appears in
-    a_coeff: List[np.ndarray]                 # per block: (r, n, n) coefficient stack
+    a_coeff: List[np.ndarray]                 # per block: (r, n, n) Hermitian coefficient stack
     b: np.ndarray
     c_free: np.ndarray                        # (n_free,) objective of the free variables
     a_free: np.ndarray                        # (n_rows, n_free) their constraint columns
@@ -91,17 +82,14 @@ class ConeProgram:
     def n_rows(self) -> int:
         return self.b.shape[0]
 
-    def barrier_degree(self) -> int:
-        return sum(blk.dim for blk in self.blocks) + self.slack_rows.shape[0]
-
 
 @dataclass
 class IpmResult:
     status: str                              # Optimal | Infeasible | Unbounded | MaxIter
-    x: List[np.ndarray]                      # PSD blocks; the slacks are not reported
+    x: List[np.ndarray]                      # Hermitian PSD blocks, n x n; the slacks are not reported
     x_free: np.ndarray
     y: np.ndarray
-    z: List[np.ndarray]                      # dual PSD blocks
+    z: List[np.ndarray]                      # dual Hermitian PSD blocks, n x n
     pobj: float
     dobj: float
     res_primal: float
@@ -110,11 +98,25 @@ class IpmResult:
     iterations: int
     termination: str                         # why the iteration stopped; one of TERMINATIONS
     history: List[dict] = field(default_factory=list)
-    certificate: Optional[dict] = None       # dual ray, or primal ray over the PSD blocks and x_free
+    certificate: Optional[dict] = None       # dual ray, or primal ray over the Hermitian blocks and x_free
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2
+
+
+def _embed(m: np.ndarray) -> np.ndarray:
+    """Real symmetric embedding [[Re M, -Im M], [Im M, Re M]] of Hermitian M (or of each in a stack)."""
+    re, im = np.real(m), np.imag(m)
+    return np.block([[re, -im], [im, re]])
+
+
+def _unembed(m: np.ndarray) -> np.ndarray:
+    """The n x n Hermitian matrix whose embedding is nearest the 2n x 2n ``m``."""
+    n = m.shape[0] // 2
+    re = (m[:n, :n] + m[n:, n:]) / 2
+    im = (m[n:, :n] - m[:n, n:]) / 2
+    return hermitize(re + 1j * im)
 
 
 def _embed_project(m: np.ndarray, nc: int) -> np.ndarray:
@@ -143,9 +145,9 @@ def _as_slice(idx: np.ndarray):
 
 
 class _BlockA:
-    """Constraint coefficients for one PSD block, in flat sparse form."""
+    """Constraint coefficients for one real PSD block, in flat sparse form."""
 
-    def __init__(self, blk: Block, rows: np.ndarray, coeff: np.ndarray):
+    def __init__(self, rows: np.ndarray, coeff: np.ndarray):
         self.rows = rows
         sel = _as_slice(rows)
         # where this block's rows x rows entries sit in the Schur matrix
@@ -154,7 +156,7 @@ class _BlockA:
         flat = coeff.reshape(n_local, -1)
         self.mat = sp.csr_matrix(flat)
         self.mat_t = self.mat.T.tocsr()
-        self.n = blk.dim
+        self.n = coeff.shape[-1]
         nnz_per_row = np.diff(self.mat.indptr)
         dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
         sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
@@ -338,16 +340,20 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     reported residuals are typically well below ``tol``.  The result's
     ``termination`` names the exit taken (see ``TERMINATIONS``).
     """
-    blocks = prog.blocks
-    nu = prog.barrier_degree()
+    sizes = [coeff.shape[-1] for coeff in prog.a_coeff]    # block j is embedded at 2 * sizes[j]
+    nu = 2 * sum(sizes) + prog.slack_rows.shape[0]
     if nu == 0:
         raise ValueError("program has no cone variables")
     m_rows = prog.n_rows
     srows = prog.slack_rows
 
+    # -- the real embedding: tr(C X) = <_embed(C) / 2, _embed(X)> -----------
+    c = [_embed(cb) / 2 for cb in prog.c]
+    a_coeff = [_embed(coeff) / 2 for coeff in prog.a_coeff]
+
     # -- row equilibration: unit max coefficient norm per constraint --------
     row_scale = np.zeros(m_rows)
-    for rows, coeff in zip(prog.a_rows, prog.a_coeff):
+    for rows, coeff in zip(prog.a_rows, a_coeff):
         np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=(1, 2))))
     np.maximum.at(row_scale, srows, np.abs(prog.slack_coef))
     row_scale = np.maximum(row_scale, np.sqrt(np.sum(prog.a_free**2, axis=1)))
@@ -356,12 +362,13 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     # every free column has a nonzero (SdpProblem.validate)
     a_free = prog.a_free / row_scale[:, np.newaxis]
     col_scale = np.max(np.abs(a_free), axis=0, initial=0.0)
+    for rows, coeff in zip(prog.a_rows, a_coeff):
+        coeff /= row_scale[rows][:, np.newaxis, np.newaxis]   # in place: no unscaled copy outlives this
+    # from here on ``prog`` is the embedded, equilibrated real program
     prog = ConeProgram(
-        blocks=prog.blocks,
-        c=prog.c,
+        c=c,
         a_rows=prog.a_rows,
-        a_coeff=[coeff / row_scale[rows][:, np.newaxis, np.newaxis]
-                 for rows, coeff in zip(prog.a_rows, prog.a_coeff)],
+        a_coeff=a_coeff,
         b=prog.b / row_scale,
         c_free=prog.c_free / col_scale,
         a_free=a_free / col_scale,
@@ -371,7 +378,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     af = prog.a_free
     scoef = prog.slack_coef
 
-    ops = [_BlockA(blk, rows, coeff) for blk, rows, coeff in zip(prog.blocks, prog.a_rows, prog.a_coeff)]
+    ops = [_BlockA(rows, coeff) for rows, coeff in zip(prog.a_rows, prog.a_coeff)]
 
     # -- scaling of the data ------------------------------------------------
     norm_b = max(1.0, float(np.max(np.abs(prog.b))))
@@ -380,8 +387,8 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     cf_s = prog.c_free / norm_c
     b_s = prog.b / norm_b
 
-    x = [np.eye(blk.dim) for blk in blocks]
-    z = [np.eye(blk.dim) for blk in blocks]
+    x = [np.eye(2 * n) for n in sizes]
+    z = [np.eye(2 * n) for n in sizes]
     xs = np.ones(srows.shape[0])
     zs = np.ones(srows.shape[0])
     xf = np.zeros(af.shape[1])
@@ -396,7 +403,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     def residuals(x, xs, xf, y, z, zs):
         rp = b_s - _apply_a(ops, prog, x, xs, xf)
         aty = _apply_at(ops, y)
-        rd = [c_s[j] - aty[j] - z[j] for j in range(len(blocks))]
+        rd = [c_s[j] - aty[j] - z[j] for j in range(len(ops))]
         rd_s = -scoef * y[srows] - zs
         rd_f = cf_s - af.T @ y
         pobj = _inner(c_s + [cf_s], x + [xf])
@@ -445,7 +452,8 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         if rate > -INFEAS_TOL:
             return None
         if float(np.linalg.norm(_apply_a(ops, prog, xr, xsr, xfr))) <= 1e-9:
-            return {"kind": "primal_ray", "x": xr, "x_free": xfr, "objective_rate": rate}
+            return {"kind": "primal_ray", "x": [_unembed(b) for b in xr], "x_free": xfr / col_scale,
+                    "objective_rate": rate}
         return None
 
     status, termination = "MaxIter", "max_iter"
@@ -509,15 +517,15 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             rhs[srows] -= scoef * (rc_slack - nt.w_slack * rd_s)
             dy, dxf = solver.solve(rhs, rd_f)
             aty = _apply_at(ops, dy)
-            dz = [_sym(rd[j] - aty[j]) for j in range(len(blocks))]
-            dx = [_sym(rc_blocks[j] - nt.apply(j, dz[j])) for j in range(len(blocks))]
+            dz = [_sym(rd[j] - aty[j]) for j in range(len(ops))]
+            dx = [_sym(rc_blocks[j] - nt.apply(j, dz[j])) for j in range(len(ops))]
             dzs = rd_s - scoef * dy[srows]
             dxs = rc_slack - nt.w_slack * dzs
             return dx, dxs, dxf, dy, dz, dzs
 
         def max_steps(dx, dxs, dz, dzs):
             ap = ad = np.inf
-            for j in range(len(blocks)):
+            for j in range(len(ops)):
                 ap = min(ap, _max_step_psd(nt.lx[j], dx[j]))
                 ad = min(ad, _max_step_psd(nt.lz[j], dz[j]))
             ap = min(ap, _max_step_nonneg(xs, dxs))
@@ -530,14 +538,14 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         ap_a, ad_a = min(1.0, STEP_FRAC * ap_a), min(1.0, STEP_FRAC * ad_a)
         gap_now = mu * nu
         gap_aff = 0.0
-        for j in range(len(blocks)):
+        for j in range(len(ops)):
             gap_aff += float(np.sum((x[j] + ap_a * dx_a[j]) * (z[j] + ad_a * dz_a[j])))
         gap_aff += float(np.sum((xs + ap_a * dxs_a) * (zs + ad_a * dzs_a)))
         sigma = min(0.99, max(1e-10, (max(gap_aff, 0.0) / gap_now) ** 3))
 
         # corrector: scaled-space Mehrotra second-order term
         rc = []
-        for j in range(len(blocks)):
+        for j in range(len(ops)):
             g, ginv, lam = nt.g[j], nt.ginv[j], nt.lam[j]
             d_x = ginv @ dx_a[j] @ ginv.T
             d_z = g.T @ dz_a[j] @ g
@@ -560,12 +568,9 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         else:
             stall = 0
 
-        for j, blk in enumerate(blocks):
-            x[j] = _sym(x[j] + ap * dx[j])
-            z[j] = _sym(z[j] + ad * dz[j])
-            if blk.embed_dim is not None:
-                x[j] = _embed_project(x[j], blk.embed_dim)
-                z[j] = _embed_project(z[j], blk.embed_dim)
+        for j, n in enumerate(sizes):
+            x[j] = _embed_project(_sym(x[j] + ap * dx[j]), n)
+            z[j] = _embed_project(_sym(z[j] + ad * dz[j]), n)
         xs = xs + ap * dxs
         zs = zs + ad * dzs
         xf = xf + ap * dxf
@@ -589,10 +594,10 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         certificate["y"] = certificate["y"] / row_scale
     return IpmResult(
         status=status,
-        x=[xb * norm_b for xb in x],
+        x=[_unembed(xb * norm_b) for xb in x],
         x_free=xf * norm_b / col_scale,
         y=y_out,
-        z=[zb * norm_c for zb in z],
+        z=[2.0 * _unembed(zb * norm_c) for zb in z],     # the halved coefficients give a halved Z
         pobj=pobj * norm_b * norm_c,
         dobj=dobj * norm_b * norm_c,
         res_primal=res_p,

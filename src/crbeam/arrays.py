@@ -97,18 +97,6 @@ def response_point(target: PointTarget, geometry: ArrayGeometry) -> np.ndarray:
     return target.alpha * np.outer(b, a.conj())
 
 
-def response_extended(scatterers, geometry: ArrayGeometry) -> np.ndarray:
-    """Superposition of rank-one scatterer responses sum_i alpha_i b_i a_i^H."""
-    if len(scatterers) < 1:
-        raise ValueError("need at least one scatterer")
-    g = np.zeros((geometry.n_rx, geometry.n_tx), dtype=complex)
-    for alpha_i, theta_i in scatterers:
-        a = steering(theta_i, geometry.n_tx)
-        b = steering(theta_i, geometry.n_rx)
-        g += alpha_i * np.outer(b, a.conj())
-    return g
-
-
 def target_response(target, geometry: ArrayGeometry) -> np.ndarray:
     """Response matrix for either target kind."""
     if isinstance(target, PointTarget):

@@ -32,6 +32,17 @@ RANK_ONE_RATIO = 1e-6
 # single-user closed forms
 # ---------------------------------------------------------------------------
 
+def _check_budget(h1: np.ndarray, gamma1: float, p_t: float, sigma_c2: float) -> float:
+    """||h1||^2; raises Infeasible when no beamformer within the budget meets the SINR target."""
+    h_norm2 = float(np.real(h1.conj() @ h1))
+    if gamma1 * sigma_c2 > p_t * h_norm2:
+        raise Infeasible(
+            f"SINR target needs {gamma1 * sigma_c2:.4g} mW of received power, "
+            f"budget allows at most {p_t * h_norm2:.4g}"
+        )
+    return h_norm2
+
+
 def design_point_single(
     h1: np.ndarray,
     theta: float,
@@ -54,12 +65,7 @@ def design_point_single(
     h1 = np.asarray(h1, dtype=complex).ravel()
     a = steering(theta, geometry.n_tx)
     n_t = geometry.n_tx
-    h_norm2 = float(np.real(h1.conj() @ h1))
-    if gamma1 * sigma_c2 > p_t * h_norm2:
-        raise Infeasible(
-            f"SINR target needs {gamma1 * sigma_c2:.4g} mW of received power, "
-            f"budget allows at most {p_t * h_norm2:.4g}"
-        )
+    h_norm2 = _check_budget(h1, gamma1, p_t, sigma_c2)
     cross = abs(h1.conj() @ a) ** 2
     if p_t * cross > n_t * gamma1 * sigma_c2:
         w1 = np.sqrt(p_t) * a / np.linalg.norm(a)
@@ -113,12 +119,7 @@ def design_extended_single(
     """
     h1 = np.asarray(h1, dtype=complex).ravel()
     n_t = geometry.n_tx
-    h_norm2 = float(np.real(h1.conj() @ h1))
-    if gamma1 * sigma_c2 > p_t * h_norm2:
-        raise Infeasible(
-            f"SINR target needs {gamma1 * sigma_c2:.4g} mW of received power, "
-            f"budget allows at most {p_t * h_norm2:.4g}"
-        )
+    h_norm2 = _check_budget(h1, gamma1, p_t, sigma_c2)
     u1 = h1 / np.sqrt(h_norm2)
     threshold = p_t * h_norm2 / (n_t * sigma_c2)
     if gamma1 < threshold:
@@ -171,6 +172,26 @@ def _radar_only_scenario(geometry, h1, gamma1, p_t, sigma_c2, frame_len, noise_r
 # multi-user SDR: point target
 # ---------------------------------------------------------------------------
 
+def _add_sinr_and_power_rows(p: SdpProblem, scenario: Scenario, names: Sequence[str]) -> None:
+    """The K SINR rows, then the power row; user i's block is ``names[i]``, the others interfere."""
+    for i in range(scenario.n_users):
+        h_i = scenario.user_channel(i)
+        q_i = np.outer(h_i, h_i.conj())
+        gamma_i = scenario.sinr_thresholds[i]
+        coeffs = {name: q_i if j == i else -gamma_i * q_i for j, name in enumerate(names)}
+        p.add_constraint(coeffs, sense=">=", rhs=gamma_i * scenario.noise_comm, name=f"sinr_{i+1}")
+    n_t = scenario.geometry.n_tx
+    p.add_constraint({n: np.eye(n_t, dtype=complex) for n in names}, sense="<=", rhs=scenario.power_budget, name="power")
+
+
+def _check_status(sol: SdpSolution, what: str) -> None:
+    """Infeasible with its ray, or SolverFailure, unless the SDR solved."""
+    if sol.status == "Infeasible":
+        raise Infeasible("SINR set jointly unreachable under the power budget", certificate=sol.certificate)
+    if sol.status != "Optimal":
+        raise SolverFailure(f"{what} SDR ended with status {sol.status}")
+
+
 def build_point_sdp(scenario: Scenario) -> SdpProblem:
     """Relaxed CRB-minimization SDP: per-user PSD blocks, free t, 2x2 LMI slack.
 
@@ -210,17 +231,7 @@ def build_point_sdp(scenario: Scenario) -> SdpProblem:
     p.add_constraint(
         {"P": elem_re(2, 1, 1), **{n: -hermitize(aa) for n in names}}, sense="==", rhs=0.0, name="couple_p22"
     )
-    for i in range(k):
-        h_i = scenario.user_channel(i)
-        q_i = np.outer(h_i, h_i.conj())
-        gamma_i = scenario.sinr_thresholds[i]
-        coeffs = {}
-        for j, name in enumerate(names):
-            coeffs[name] = q_i if j == i else -gamma_i * q_i
-        p.add_constraint(coeffs, sense=">=", rhs=gamma_i * scenario.noise_comm, name=f"sinr_{i+1}")
-    p.add_constraint(
-        {n: np.eye(n_t, dtype=complex) for n in names}, sense="<=", rhs=scenario.power_budget, name="power"
-    )
+    _add_sinr_and_power_rows(p, scenario, names)
     return p
 
 
@@ -262,10 +273,7 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     problem = build_point_sdp(scenario)
     # deep polish: the rank-one certification keys off the final complementarity
     sol = solve(problem, opts or SolveOptions(max_iter=150, target_tol=1e-11))
-    if sol.status == "Infeasible":
-        raise Infeasible("SINR set jointly unreachable under the power budget", certificate=sol.certificate)
-    if sol.status not in ("Optimal",):
-        raise SolverFailure(f"point SDR ended with status {sol.status}")
+    _check_status(sol, "point")
 
     k = scenario.n_users
     names = [f"W{i+1}" for i in range(k)]
@@ -352,15 +360,7 @@ def build_extended_sdp(scenario: Scenario) -> SdpProblem:
                 for name in names:
                     coeffs[name] = minus_one * elem_im(n_t, i, j)
                 p.add_constraint(coeffs, sense="==", rhs=0.0)
-    for i in range(k):
-        h_i = scenario.user_channel(i)
-        q_i = np.outer(h_i, h_i.conj())
-        gamma_i = scenario.sinr_thresholds[i]
-        coeffs = {}
-        for j, name in enumerate(names):
-            coeffs[name] = q_i if j == i else -gamma_i * q_i
-        p.add_constraint(coeffs, sense=">=", rhs=gamma_i * scenario.noise_comm, name=f"sinr_{i+1}")
-    p.add_constraint({n: np.eye(n_t, dtype=complex) for n in names}, sense="<=", rhs=scenario.power_budget, name="power")
+    _add_sinr_and_power_rows(p, scenario, names)
     return p
 
 
@@ -398,10 +398,7 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
     """Multi-user extended-target design: epigraph SDR plus rank-one extraction."""
     problem = build_extended_sdp(scenario)
     sol = solve(problem, opts or SolveOptions(target_tol=1e-9))
-    if sol.status == "Infeasible":
-        raise Infeasible("SINR set jointly unreachable under the power budget", certificate=sol.certificate)
-    if sol.status != "Optimal":
-        raise SolverFailure(f"extended SDR ended with status {sol.status}")
+    _check_status(sol, "extended")
 
     k = scenario.n_users
     names = [f"W{i+1}" for i in range(k)]

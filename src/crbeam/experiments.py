@@ -115,9 +115,7 @@ def config_for(experiment: str, **overrides) -> ExperimentConfig:
         base.update(
             n_users=4, sinr_db=15.0, snr_radar_sweep_db=list(np.arange(10.0, 40.0 + 1e-9, 2.0))
         )
-    elif experiment == "fig5":
-        base.update(sinr_sweep_db=list(np.arange(0.0, 20.0 + 1e-9, 2.0)), user_groups=[6, 12])
-    elif experiment == "fig6":
+    elif experiment in ("fig5", "fig6"):
         base.update(sinr_sweep_db=list(np.arange(0.0, 20.0 + 1e-9, 2.0)), user_groups=[6, 12])
     elif experiment == "fig7":
         base.update(user_sweep=list(range(2, 15, 2)))
@@ -326,6 +324,17 @@ def eig_truncation_mse(solution, scenario: Scenario) -> float:
     return crb_extended(total, scenario)
 
 
+def _extended_cell(cfg: ExperimentConfig, channels, gamma: float) -> list:
+    """[design MSE, truncation MSE] at a common SINR target, or NaNs when infeasible."""
+    k = channels.shape[0]
+    try:
+        scen = build_scenario(cfg, channels, [gamma] * k)
+        sol = design_extended_multi(scen)
+        return [sol.objective, eig_truncation_mse(sol, scen)]
+    except Infeasible:
+        return [np.nan, np.nan]
+
+
 def run_fig6(cfg: ExperimentConfig) -> ResultTable:
     """Extended-target MSE vs required SINR, with the truncation benchmark."""
     rng = np.random.default_rng(cfg.seed)
@@ -338,12 +347,7 @@ def run_fig6(cfg: ExperimentConfig) -> ResultTable:
         gamma = db_to_linear(gamma_db)
         row = [gamma_db]
         for k in cfg.user_groups:
-            try:
-                scen = build_scenario(cfg, master[:k], [gamma] * k)
-                sol = design_extended_multi(scen)
-                row += [sol.objective, eig_truncation_mse(sol, scen)]
-            except Infeasible:
-                row += [np.nan, np.nan]
+            row += _extended_cell(cfg, master[:k], gamma)
         rows.append(row)
     return ResultTable(cols, rows, _metadata(cfg))
 
@@ -362,12 +366,7 @@ def run_fig7(cfg: ExperimentConfig) -> ResultTable:
         row = [k]
         for gdb in gammas_db:
             gamma = db_to_linear(gdb)
-            try:
-                scen = build_scenario(cfg, master[:k], [gamma] * k)
-                sol = design_extended_multi(scen)
-                row += [sol.objective, eig_truncation_mse(sol, scen)]
-            except Infeasible:
-                row += [np.nan, np.nan]
+            row += _extended_cell(cfg, master[:k], gamma)
         rows.append(row)
     return ResultTable(cols, rows, _metadata(cfg))
 

@@ -2,10 +2,9 @@
 
 The public surface works with complex Hermitian PSD variable blocks,
 free real scalars, and linear constraints over trace inner products.
-Internally each Hermitian block is realized through the real symmetric
-embedding ``[[Re X, -Im X], [Im X, Re X]]`` and handed to the
-interior-point core in :mod:`crbeam._ipm`; the structured subspace is
-maintained by projection, so the cone machinery stays purely real.
+``solve`` stacks each block's coefficients at the block's own size and
+hands them to the interior-point core in :mod:`crbeam._ipm`, which owns
+how Hermitian blocks are represented inside the iteration.
 """
 
 from __future__ import annotations
@@ -138,34 +137,19 @@ def elem_im(n: int, i: int, j: int) -> np.ndarray:
     return c
 
 
-def embed_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n embedding of a Hermitian matrix."""
-    re, im = np.real(m), np.imag(m)
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_hermitian(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0] // 2
-    re = (m[:n, :n] + m[n:, n:]) / 2
-    im = (m[n:, :n] - m[:n, n:]) / 2
-    return hermitize(re + 1j * im)
-
-
 def _build_cone_program(p: SdpProblem):
     p.validate()
     block_names = [n for n, _ in p.blocks]
     block_index = {n: j for j, n in enumerate(block_names)}
 
-    blocks = [_ipm.Block(2 * dim, embed_dim=dim) for _, dim in p.blocks]
-    c = [embed_hermitian(np.asarray(p.objective_blocks.get(name, np.zeros((dim, dim))), dtype=complex)) / 2
-         for name, dim in p.blocks]
+    c = [np.asarray(p.objective_blocks.get(name, np.zeros((dim, dim))), dtype=complex) for name, dim in p.blocks]
     rows_per_block = [[] for _ in p.blocks]
     coeff_per_block = [[] for _ in p.blocks]
     for i, con in enumerate(p.constraints):
         for bname, mat in con.block_coeffs.items():
             j = block_index[bname]
             rows_per_block[j].append(i)
-            coeff_per_block[j].append(embed_hermitian(np.asarray(mat, dtype=complex)) / 2)
+            coeff_per_block[j].append(np.asarray(mat, dtype=complex))
 
     a_rows = [np.array(rows, dtype=int) for rows in rows_per_block]
     a_coeff = [np.array(coeff) for coeff in coeff_per_block]
@@ -183,7 +167,7 @@ def _build_cone_program(p: SdpProblem):
             a_free[i, scalar_index[s]] = v
 
     b = np.array([con.rhs for con in p.constraints], dtype=float)
-    prog = _ipm.ConeProgram(blocks=blocks, c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free,
+    prog = _ipm.ConeProgram(c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free,
                             slack_rows=slack_rows, slack_coef=slack_coef)
     return prog, block_names
 
@@ -205,17 +189,12 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     res = _ipm.solve_cone_program(
         prog, tol=opts.tol, max_iter=opts.max_iter, target_tol=opts.target_tol
     )
-    primal = {}
-    duals = {}
-    for j, name in enumerate(block_names):
-        primal[name] = unembed_hermitian(res.x[j])
-        duals[name] = 2.0 * unembed_hermitian(res.z[j])
     return SdpSolution(
         status=res.status,
-        primal_blocks=primal,
+        primal_blocks=dict(zip(block_names, res.x)),
         scalars={s: float(v) for s, v in zip(p.free_scalars, res.x_free)},
         dual_multipliers=res.y,
-        dual_blocks=duals,
+        dual_blocks=dict(zip(block_names, res.z)),
         pobj=res.pobj,
         dobj=res.dobj,
         residuals={"primal": res.res_primal, "dual": res.res_dual, "gap": res.gap_rel},

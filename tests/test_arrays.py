@@ -6,7 +6,6 @@ from crbeam.arrays import (
     ExtendedTarget,
     PointTarget,
     point_terms,
-    response_extended,
     response_point,
     steering,
     steering_deriv,
@@ -104,30 +103,6 @@ class TestResponses:
         alpha = 2.0 * np.exp(1j * np.pi / 3)
         g = response_point(PointTarget(0.2, alpha), ArrayGeometry(4, 6))
         assert np.linalg.norm(g) == pytest.approx(abs(alpha) * np.sqrt(4 * 6), rel=1e-12)
-
-    def test_single_scatterer_matches_point(self):
-        geom = ArrayGeometry(4, 6)
-        g1 = response_extended([(0.7 - 0.2j, 0.4)], geom)
-        g2 = response_point(PointTarget(0.4, 0.7 - 0.2j), geom)
-        assert np.allclose(g1, g2, atol=1e-14)
-
-    def test_opposite_scatterers_cancel(self):
-        geom = ArrayGeometry(4, 6)
-        g = response_extended([(1.0, 0.0), (-1.0, 0.0)], geom)
-        assert np.max(np.abs(g)) <= 1e-14
-
-    def test_three_scatterers_naive_sum(self, rng):
-        geom = ArrayGeometry(4, 6)
-        scatterers = [(0.5 + 0.1j, -0.3), (1.2, 0.2), (-0.4j, 0.9)]
-        g = response_extended(scatterers, geom)
-        naive = np.zeros((6, 4), dtype=complex)
-        for alpha, theta in scatterers:
-            for p in range(6):
-                for q in range(4):
-                    bp = np.exp(1j * np.pi * (p - 2.5) * np.sin(theta))
-                    aq = np.exp(1j * np.pi * (q - 1.5) * np.sin(theta))
-                    naive[p, q] += alpha * bp * np.conj(aq)
-        assert np.allclose(g, naive, atol=1e-12)
 
     def test_random_target_shape_and_scale(self, rng):
         geom = ArrayGeometry(8, 10)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbeam import _ipm
 from crbeam.designs import design_extended_multi, design_point_multi
@@ -14,9 +16,7 @@ from crbeam.sdp import (
     check_certificate,
     elem_im,
     elem_re,
-    embed_hermitian,
     solve,
-    unembed_hermitian,
 )
 
 from conftest import complex_gaussian, make_scenario, random_hermitian
@@ -83,16 +83,46 @@ def single_user_trace_inverse_problem():
     return p
 
 
-class TestEmbedding:
-    def test_round_trip(self, rng):
-        m = random_hermitian(rng, 5)
-        assert np.allclose(unembed_hermitian(embed_hermitian(m)), m, atol=1e-14)
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
-    def test_eigenvalues_doubled(self, rng):
-        m = random_hermitian(rng, 4)
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two exactly Hermitian n x n matrices, n from 1 to 6."""
+    n = draw(st.integers(1, 6))
+
+    def one():
+        re = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        im = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        m = np.triu(re + 1j * im, 1)
+        return m + m.conj().T + np.diag(np.diag(re))
+
+    return one(), one()
+
+
+class TestEmbedding:
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_pairs())
+    def test_round_trip(self, pair):
+        m, _ = pair
+        assert np.array_equal(_ipm._unembed(_ipm._embed(m)), m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_pairs())
+    def test_eigenvalues_doubled(self, pair):
+        m, _ = pair
         ev_c = np.linalg.eigvalsh(m)
-        ev_e = np.linalg.eigvalsh(embed_hermitian(m))
-        assert np.allclose(np.sort(np.repeat(ev_c, 2)), np.sort(ev_e), atol=1e-12)
+        ev_e = np.linalg.eigvalsh(_ipm._embed(m))
+        assert np.allclose(np.repeat(ev_c, 2), ev_e, rtol=0, atol=1e-12 * (1 + np.linalg.norm(m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_pairs())
+    def test_inner_product(self, pair):
+        # the coefficient convention of solve_cone_program: <_embed(C) / 2, _embed(X)> = Re tr(C X)
+        c, x = pair
+        got = float(np.sum(_ipm._embed(c) / 2 * _ipm._embed(x)))
+        want = float(np.real(np.trace(c @ x)))
+        assert abs(got - want) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(x)
 
     def test_elementary_coefficients(self, rng):
         x = random_hermitian(rng, 4)
@@ -164,6 +194,31 @@ class TestSolve:
         p.add_constraint({"X": np.zeros((1, 1), dtype=complex)}, sense="==", rhs=0.0)
         sol = solve(p)
         assert sol.status == "Unbounded"
+        # the ray is over the caller's blocks: one 1x1 complex block
+        (ray,) = sol.certificate["x"]
+        assert ray.shape == (1, 1) and np.iscomplexobj(ray)
+
+    def test_unbounded_ray_in_callers_variables(self):
+        # min -X - t s.t. X - 0.1 t = 0; the solver scales t's column, the ray must not be
+        p = SdpProblem()
+        p.add_block("X", 1)
+        p.add_free_scalar("t")
+        p.set_objective({"X": -np.eye(1, dtype=complex)}, {"t": -1.0})
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": -0.1}, "==", 0.0)
+        sol = solve(p)
+        assert sol.status == "Unbounded"
+        (x,), (t,) = sol.certificate["x"], sol.certificate["x_free"]
+        assert x[0, 0].real - 0.1 * t == pytest.approx(0.0, abs=1e-9 * abs(t))
+
+    def test_blocks_leave_hermitian_at_declared_size(self):
+        p = single_user_trace_inverse_problem()
+        sol = solve(p)
+        for blocks in (sol.primal_blocks, sol.dual_blocks):
+            assert list(blocks) == [name for name, _ in p.blocks]
+            for name, dim in p.blocks:
+                m = blocks[name]
+                assert m.shape == (dim, dim) and np.iscomplexobj(m)
+                assert np.array_equal(m, m.conj().T)
 
     def test_max_iter_reports_residuals(self):
         from crbeam.sdp import SolveOptions
@@ -412,17 +467,16 @@ def schur_program(rng):
         # all-zero rows
         (3, np.arange(26, 29), ["zero"] * 3),
     ]
-    blocks, rows, coeff, w = [], [], [], []
+    rows, coeff, w = [], [], []
     for dim, r, kinds in spec:
-        blocks.append(_ipm.Block(dim))
         rows.append(r)
         coeff.append(mixed_rows(rng, dim, kinds))
         w.append(random_pd(rng, dim))
     slack_rows = np.array([0, 8, 16, 33, 38])
-    prog = _ipm.ConeProgram(blocks=blocks, c=[None] * len(blocks), a_rows=rows, a_coeff=coeff,
+    prog = _ipm.ConeProgram(c=[None] * len(rows), a_rows=rows, a_coeff=coeff,
                             b=np.zeros(n_rows), c_free=np.zeros(0), a_free=np.zeros((n_rows, 0)),
                             slack_rows=slack_rows, slack_coef=rng.standard_normal(slack_rows.size))
-    ops = [_ipm._BlockA(blk, r, c) for blk, r, c in zip(blocks, rows, coeff)]
+    ops = [_ipm._BlockA(r, c) for r, c in zip(rows, coeff)]
     return prog, ops, SimpleNamespace(w=w, w_slack=rng.random(slack_rows.size) + 0.1)
 
 
