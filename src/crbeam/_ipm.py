@@ -278,7 +278,7 @@ class _NTScaling:
             ginv = (vt.T * np.sqrt(s)).T @ sla.solve_triangular(lx, np.eye(xb.shape[0]), lower=True)
             self.g.append(g)
             self.ginv.append(ginv)
-            self.w.append(_sym(g @ g.T))
+            self.w.append(g @ g.T)     # exactly symmetric: numpy forms G G^T with syrk
             self.lam.append(s)
         self.w_slack = xs / zs
 
@@ -568,9 +568,10 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         else:
             stall = 0
 
+        # x, z and the directions are exactly symmetric, and so are these sums
         for j, n in enumerate(sizes):
-            x[j] = _embed_project(_sym(x[j] + ap * dx[j]), n)
-            z[j] = _embed_project(_sym(z[j] + ad * dz[j]), n)
+            x[j] = _embed_project(x[j] + ap * dx[j], n)
+            z[j] = _embed_project(z[j] + ad * dz[j], n)
         xs = xs + ap * dxs
         zs = zs + ad * dzs
         xf = xf + ap * dxf

@@ -1,5 +1,9 @@
 """Command-line front end: experiment runs plus ad-hoc design/evaluate/verify.
 
+``design`` and ``verify --kkt`` solve the scenario ``experiments.draw_scenario``
+draws from the config, and ``evaluate --beampattern`` writes the table of
+``experiments.beampattern_table``, so both match the fig3 run of the same config.
+
 Exit codes: 0 success, 2 infeasible scenario, 3 solver failure, 4 bad config.
 """
 
@@ -19,13 +23,11 @@ from .errors import Infeasible, RankExcess, SolverFailure
 from .experiments import (
     ExperimentConfig,
     ResultTable,
-    build_scenario,
+    beampattern_table,
     config_for,
-    draw_channels,
+    draw_scenario,
     run_experiment,
 )
-from .metrics import beampattern, db_to_linear
-from .sim import DEG
 from .verify import check_kkt_point, check_schur
 
 EXIT_OK, EXIT_INFEASIBLE, EXIT_SOLVER, EXIT_CONFIG = 0, 2, 3, 4
@@ -80,29 +82,21 @@ def cmd_run(args) -> int:
 
 def cmd_design(args) -> int:
     cfg = _load_config(args)
-    rng = np.random.default_rng(cfg.seed)
-    channels = draw_channels(cfg.n_users, cfg.n_tx, rng)
-    gamma = db_to_linear(cfg.sinr_db)
-    gammas = [gamma] * cfg.n_users
-    if args.mode == "point":
-        scen = build_scenario(cfg, channels, gammas, PointTarget(cfg.target_angle))
-        if cfg.n_users == 1:
-            sol = design_point_single(
-                scen.user_channel(0), cfg.target_angle, gamma, cfg.power_mw,
-                cfg.noise_comm_mw, cfg.geometry, alpha=1.0,
-                frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
-            )
-        else:
-            sol = design_point_multi(scen)
+    point = args.mode == "point"
+    scen = draw_scenario(cfg, PointTarget(cfg.target_angle) if point else None)
+    h1, gamma = scen.user_channel(0), scen.sinr_thresholds[0]
+    if cfg.n_users > 1:
+        sol = design_point_multi(scen) if point else design_extended_multi(scen)
+    elif point:
+        sol = design_point_single(
+            h1, cfg.target_angle, gamma, cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
+            alpha=1.0, frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
+        )
     else:
-        scen = build_scenario(cfg, channels, gammas)
-        if cfg.n_users == 1:
-            sol = design_extended_single(
-                scen.user_channel(0), gamma, cfg.power_mw, cfg.noise_comm_mw,
-                cfg.geometry, frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
-            )
-        else:
-            sol = design_extended_multi(scen)
+        sol = design_extended_single(
+            h1, gamma, cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
+            frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
+        )
     payload = {
         "mode": args.mode,
         "seed": cfg.seed,
@@ -123,15 +117,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     with open(args.solution) as f:
         payload = json.load(f)
-    r_x = _pair_to_complex(payload["covariance"])
-    grid_deg = np.arange(-90.0, 90.0 + 1e-9, cfg.beampattern_step_deg)
-    power = beampattern(r_x, grid_deg * DEG, cfg.geometry)
-    table = ResultTable(
-        ["theta_deg", "power_mw"],
-        [[float(t), float(p)] for t, p in zip(grid_deg, power)],
-        {"source": args.solution, "config_hash": cfg.config_hash(), "version": __version__,
-         "seed": cfg.seed, "experiment": cfg.experiment},
-    )
+    table = beampattern_table(_pair_to_complex(payload["covariance"]), cfg, source=args.solution)
     _emit_table(table, args)
     return EXIT_OK
 
@@ -148,10 +134,7 @@ def cmd_verify(args) -> int:
             worst = max(worst, abs(t_lmi - t_closed) / abs(t_closed))
         _emit(f"schur-equivalence worst relative deviation over {args.samples} samples: {worst:.3e}\n", args.out)
         return EXIT_OK
-    rng = np.random.default_rng(cfg.seed)
-    channels = draw_channels(cfg.n_users, cfg.n_tx, rng)
-    gamma = db_to_linear(cfg.sinr_db)
-    scen = build_scenario(cfg, channels, [gamma] * cfg.n_users, PointTarget(cfg.target_angle))
+    scen = draw_scenario(cfg, PointTarget(cfg.target_angle))
     sol = design_point_multi(scen)
     report = check_kkt_point(sol, None, scen)
     _emit(report.summary() + f"\nmax residual: {report.max_residual():.3e}\n", args.out)

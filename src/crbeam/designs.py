@@ -67,24 +67,21 @@ def design_point_single(
     n_t = geometry.n_tx
     h_norm2 = _check_budget(h1, gamma1, p_t, sigma_c2)
     cross = abs(h1.conj() @ a) ** 2
-    if p_t * cross > n_t * gamma1 * sigma_c2:
+    u1 = h1 / np.sqrt(h_norm2)
+    a_perp = a - (u1.conj() @ a) * u1
+    perp_norm = np.linalg.norm(a_perp)
+    # h1 parallel to a collapses the two-vector span; the scaled steering
+    # vector is then feasible (boundary case included), since the Infeasible
+    # check above rules out gamma1 sigma_c2 > p_t ||h1||^2.
+    if p_t * cross > n_t * gamma1 * sigma_c2 or perp_norm <= 1e-10 * np.linalg.norm(a):
         w1 = np.sqrt(p_t) * a / np.linalg.norm(a)
     else:
-        u1 = h1 / np.sqrt(h_norm2)
-        a_perp = a - (u1.conj() @ a) * u1
-        perp_norm = np.linalg.norm(a_perp)
-        if perp_norm <= 1e-10 * np.linalg.norm(a):
-            # h1 parallel to a: the two-vector span collapses; the scaled
-            # steering vector is feasible here (boundary case included), since
-            # the Infeasible check above rules out gamma1 sigma_c2 > p_t ||h1||^2.
-            w1 = np.sqrt(p_t) * a / np.linalg.norm(a)
-        else:
-            a_u = a_perp / perp_norm
-            u1_a = u1.conj() @ a
-            au_a = a_u.conj() @ a
-            x1 = np.sqrt(gamma1 * sigma_c2 / h_norm2) * u1_a / abs(u1_a)
-            x2 = np.sqrt(p_t - gamma1 * sigma_c2 / h_norm2) * au_a / max(abs(au_a), 1e-300)
-            w1 = x1 * u1 + x2 * a_u
+        a_u = a_perp / perp_norm
+        u1_a = u1.conj() @ a
+        au_a = a_u.conj() @ a
+        x1 = np.sqrt(gamma1 * sigma_c2 / h_norm2) * u1_a / abs(u1_a)
+        x2 = np.sqrt(p_t - gamma1 * sigma_c2 / h_norm2) * au_a / max(abs(au_a), 1e-300)
+        w1 = x1 * u1 + x2 * a_u
     r_x = np.outer(w1, w1.conj())
     sinr = abs(h1.conj() @ w1) ** 2 / sigma_c2
     directivity = float(abs(a.conj() @ w1) ** 2)
@@ -242,22 +239,13 @@ def _rank_one_factor(w_mat: np.ndarray) -> Tuple[np.ndarray, float]:
     return np.sqrt(max(lam, 0.0)) * vectors[:, -1], ratio
 
 
-def _point_duals(scenario: Scenario, sol: SdpSolution) -> dict:
-    k = scenario.n_users
-    y = sol.dual_multipliers
-    mu = np.maximum(y[4 : 4 + k], 0.0)
-    mu_t = max(-y[4 + k], 0.0)
-    phi = -y[0]
-    beta = complex(-(y[1] + 1j * y[2]) / 2)
-    gamma = -y[3]
+def _point_duals(y: np.ndarray, k: int) -> dict:
     return {
-        "mu": mu,
-        "mu_T": mu_t,
-        "phi": phi,
-        "beta": beta,
-        "gamma": gamma,
-        "z_p": sol.dual_blocks["P"],
-        "y": y,
+        "mu": np.maximum(y[4 : 4 + k], 0.0),
+        "mu_T": max(-y[4 + k], 0.0),
+        "phi": -y[0],
+        "beta": complex(-(y[1] + 1j * y[2]) / 2),
+        "gamma": -y[3],
     }
 
 
@@ -267,7 +255,8 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     The relaxation is tight with rank-one blocks, so beamformers come from
     the dominant eigenpairs.  When a solved block's eigenvalue ratio
     exceeds ``RANK_ONE_RATIO``, ``RankExcess`` is raised with the relaxed
-    solution attached (covariance sum W_k and its CRB as objective).
+    solution attached: covariance sum W_k, its CRB as objective, the same
+    diagnostics and no beamformers.
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
@@ -276,48 +265,36 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     _check_status(sol, "point")
 
     k = scenario.n_users
-    names = [f"W{i+1}" for i in range(k)]
-    w_blocks = [hermitize(sol.primal_blocks[n]) for n in names]
-    duals = _point_duals(scenario, sol)
-
+    # the solver returns exactly Hermitian blocks, so their sum is too
+    w_blocks = [sol.primal_blocks[f"W{i+1}"] for i in range(k)]
     factors = [_rank_one_factor(w) for w in w_blocks]
-    ratios = [f[1] for f in factors]
-    r_x = hermitize(sum(w_blocks))
+    ratios = [ratio for _, ratio in factors]
+    r_x = sum(w_blocks)
+    objective = crb_point_theta(r_x, target.theta, target.alpha, scenario)
+    diagnostics = {
+        "method": "sdr_point",
+        "t_star": sol.scalars["t"],
+        "eig_ratios": ratios,
+        "duals": _point_duals(sol.dual_multipliers, k),
+        "w_blocks": w_blocks,
+        "sdp": sol,
+    }
     if any(r > RANK_ONE_RATIO for r in ratios):
         partial = DesignSolution(
             comm_beamformers=np.zeros((scenario.geometry.n_tx, 0)),
             covariance=r_x,
-            achieved_sinrs=None,
-            objective=crb_point_theta(r_x, target.theta, target.alpha, scenario),
-            diagnostics={
-                "eig_ratios": ratios,
-                "duals": duals,
-                "t_star": sol.scalars["t"],
-                "w_blocks": w_blocks,
-                "sdp": sol,
-            },
+            objective=objective,
+            diagnostics=diagnostics,
         )
         raise RankExcess(f"relaxed blocks not rank-one (eig ratios {ratios})", solution=partial)
-    beamformers = np.zeros((scenario.geometry.n_tx, k), dtype=complex)
-    for i, (w, _) in enumerate(factors):
-        beamformers[:, i] = w
-
+    beamformers = np.column_stack([w for w, _ in factors])
     sinrs = achieved_sinrs(beamformers, None, scenario.channels, scenario.noise_comm)
-    objective = crb_point_theta(r_x, target.theta, target.alpha, scenario)
     return DesignSolution(
         comm_beamformers=beamformers,
         covariance=r_x,
-        aux_beamformer=None,
         achieved_sinrs=sinrs,
         objective=objective,
-        diagnostics={
-            "method": "sdr_point",
-            "t_star": sol.scalars["t"],
-            "eig_ratios": ratios,
-            "duals": duals,
-            "w_blocks": w_blocks,
-            "sdp": sol,
-        },
+        diagnostics=diagnostics,
     )
 
 
@@ -401,10 +378,9 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
     _check_status(sol, "extended")
 
     k = scenario.n_users
-    names = [f"W{i+1}" for i in range(k)]
-    w_bars = [hermitize(sol.primal_blocks[n]) for n in names]
-    w_aux_bar = hermitize(sol.primal_blocks["WA"])
-    r_bar = hermitize(sum(w_bars) + w_aux_bar)
+    w_bars = [sol.primal_blocks[f"W{i+1}"] for i in range(k)]
+    w_aux_bar = sol.primal_blocks["WA"]
+    r_bar = sum(w_bars) + w_aux_bar
     channels = [scenario.user_channel(i) for i in range(k)]
     q_list = [np.outer(h, h.conj()) for h in channels]
 

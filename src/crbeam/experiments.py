@@ -7,14 +7,15 @@ communication tradeoff sweeps with the eigenvalue-truncation baseline.
 
 Channels are complex Gaussian, drawn once per experiment from the
 config seed; user sweeps slice a nested master channel matrix so that
-adding users only tightens the problem.
+adding users only tightens the problem.  ``draw_scenario`` and
+``beampattern_table`` are also the command line's scenario and table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -55,7 +56,6 @@ class ExperimentConfig:
     target_angle_deg: float = 0.0
     sinr_db: float = 15.0
     sinr_sweep_db: Optional[List[float]] = None
-    snr_radar_db: float = 30.0
     snr_radar_sweep_db: Optional[List[float]] = None
     user_sweep: Optional[List[int]] = None
     user_groups: List[int] = field(default_factory=lambda: [6, 12])
@@ -184,6 +184,20 @@ def build_scenario(cfg: ExperimentConfig, channels, gammas, target=None) -> Scen
     )
 
 
+def draw_scenario(cfg: ExperimentConfig, target) -> Scenario:
+    """``cfg.n_users`` channels drawn from ``cfg.seed``, every user at ``cfg.sinr_db``."""
+    channels = draw_channels(cfg.n_users, cfg.n_tx, np.random.default_rng(cfg.seed))
+    return build_scenario(cfg, channels, [db_to_linear(cfg.sinr_db)] * cfg.n_users, target)
+
+
+def beampattern_table(r_x: np.ndarray, cfg: ExperimentConfig, **metadata) -> ResultTable:
+    """Transmit beampattern of ``r_x`` over [-90, 90] degrees at the config's step."""
+    grid_deg = np.arange(-90.0, 90.0 + 1e-9, cfg.beampattern_step_deg)
+    power = beampattern(r_x, grid_deg * DEG, cfg.geometry)
+    rows = [[float(t), float(p)] for t, p in zip(grid_deg, power)]
+    return ResultTable(["theta_deg", "power_mw"], rows, _metadata(cfg, **metadata))
+
+
 def _sdp_point_objective(scenario: Scenario) -> float:
     try:
         return design_point_multi(scenario).objective
@@ -247,29 +261,19 @@ def run_fig2(cfg: ExperimentConfig) -> ResultTable:
 
 def run_fig3(cfg: ExperimentConfig) -> ResultTable:
     """Transmit beampattern of the multi-user CRB-optimal point design."""
-    rng = np.random.default_rng(cfg.seed)
-    channels = draw_channels(cfg.n_users, cfg.n_tx, rng)
-    gamma = db_to_linear(cfg.sinr_db)
-    scen = build_scenario(cfg, channels, [gamma] * cfg.n_users, PointTarget(cfg.target_angle))
-    sol = design_point_multi(scen)
-    grid_deg = np.arange(-90.0, 90.0 + 1e-9, cfg.beampattern_step_deg)
-    power = beampattern(sol.covariance, grid_deg * DEG, cfg.geometry)
-    rows = [[float(t), float(p)] for t, p in zip(grid_deg, power)]
-    return ResultTable(["theta_deg", "power_mw"], rows, _metadata(cfg, sinr_db=cfg.sinr_db))
+    sol = design_point_multi(draw_scenario(cfg, PointTarget(cfg.target_angle)))
+    return beampattern_table(sol.covariance, cfg, sinr_db=cfg.sinr_db)
 
 
 def run_fig4(cfg: ExperimentConfig) -> ResultTable:
     """RMSE of the ML angle estimate and the root-CRB across radar SNR."""
-    rng = np.random.default_rng(cfg.seed)
-    channels = draw_channels(cfg.n_users, cfg.n_tx, rng)
-    gamma = db_to_linear(cfg.sinr_db)
-    scen0 = build_scenario(cfg, channels, [gamma] * cfg.n_users, PointTarget(cfg.target_angle))
+    scen0 = draw_scenario(cfg, PointTarget(cfg.target_angle))
     sol = design_point_multi(scen0)  # design is invariant to |alpha|
     grid = GridSpec(center=cfg.target_angle, half_width=cfg.mle_window_deg * DEG, step=cfg.mle_step_deg * DEG)
     rows = []
     for snr_db in cfg.snr_radar_sweep_db or []:
         alpha = radar_alpha_from_snr(db_to_linear(snr_db), scen0)
-        scen = build_scenario(cfg, channels, [gamma] * cfg.n_users, PointTarget(cfg.target_angle, alpha))
+        scen = replace(scen0, target=PointTarget(cfg.target_angle, alpha))
         rep = monte_carlo_point(scen, sol.comm_beamformers, cfg.trials, cfg.seed, grid)
         rows.append(
             [

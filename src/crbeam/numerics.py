@@ -9,22 +9,14 @@ phase) that the rest of the package relies on.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import NonHermitian, NotPSD
 
 HERM_RTOL = 1e-12
-PSD_CLIP_RTOL = 1e-9
 PSD_FAIL_RTOL = 1e-6
-
-
-class EigDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and matching unitary eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def herm_error(M: np.ndarray) -> float:
@@ -32,12 +24,12 @@ def herm_error(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def assert_hermitian(M: np.ndarray, rtol: float = HERM_RTOL, what: str = "matrix") -> None:
+def assert_hermitian(M: np.ndarray, what: str = "matrix") -> None:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitian(f"{what} is not square: shape {M.shape}")
     scale = max(1.0, float(np.linalg.norm(M)))
     err = herm_error(M)
-    if err > rtol * scale:
+    if err > HERM_RTOL * scale:
         raise NonHermitian(f"{what} deviates from Hermitian symmetry by {err:.3e} (scale {scale:.3e})")
 
 
@@ -46,12 +38,13 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
-def herm_eig(M: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic conventions.
+def herm_eig(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, vectors)`` of a Hermitian matrix with deterministic conventions.
 
-    Values are ascending; each eigenvector's largest-magnitude entry is
-    rotated to be real-positive (lowest index wins ties), which removes
-    the phase ambiguity from golden-value tests.
+    Values are ascending, with matching unitary eigenvector columns; each
+    eigenvector's largest-magnitude entry is rotated to be real-positive
+    (lowest index wins ties), which removes the phase ambiguity from
+    golden-value tests.
 
     Raises
     ------
@@ -64,8 +57,7 @@ def herm_eig(M: np.ndarray) -> EigDecomposition:
     idx = np.argmax(np.abs(vectors), axis=0)
     lead = vectors[idx, np.arange(vectors.shape[1])]
     phase = np.where(np.abs(lead) > 0, lead / np.maximum(np.abs(lead), 1e-300), 1.0)
-    vectors = vectors / phase[np.newaxis, :]
-    return EigDecomposition(values=values, vectors=vectors)
+    return values, vectors / phase[np.newaxis, :]
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:

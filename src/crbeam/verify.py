@@ -52,9 +52,7 @@ class KktReport:
         return "\n".join(lines)
 
 
-def check_schur(
-    r_x: np.ndarray, theta: float, geometry: ArrayGeometry, bisect_tol: float = 1e-13
-) -> Tuple[float, float]:
+def check_schur(r_x: np.ndarray, theta: float, geometry: ArrayGeometry) -> Tuple[float, float]:
     """Largest t keeping the 2x2 information LMI PSD, two independent ways.
 
     Returns ``(t_from_lmi_bisection, t_closed_form)``; the closed form is
@@ -78,7 +76,7 @@ def check_schur(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= bisect_tol * max(1.0, abs(t_dd)):
+        if hi - lo <= 1e-13 * max(1.0, abs(t_dd)):
             break
     return lo, t_closed
 
@@ -113,9 +111,7 @@ def eig_f(beta: complex, geometry: ArrayGeometry, theta: float = 0.0) -> Tuple[f
     return float(lam1), float(lam2)
 
 
-def check_rank_one_condition(
-    channels: np.ndarray, theta: float, geometry: ArrayGeometry, rel_tol: float = 1e-6
-) -> Tuple[bool, dict]:
+def check_rank_one_condition(channels: np.ndarray, theta: float, geometry: ArrayGeometry) -> Tuple[bool, dict]:
     """Full-column-rank test of D = H [a, da] underpinning the rank-one guarantee.
 
     Singular values are measured against the data scale ||H|| ||[a, da]||
@@ -129,19 +125,18 @@ def check_rank_one_condition(
     s = np.linalg.svd(d, compute_uv=False)
     scale = max(float(s[0]) if s.size else 0.0,
                 1e-9 * float(np.linalg.norm(channels)) * float(np.linalg.norm(stack, 2)))
-    rank = int(np.count_nonzero(s > rel_tol * scale)) if scale > 0 else 0
+    rank = int(np.count_nonzero(s > 1e-6 * scale)) if scale > 0 else 0
     return rank == 2, {"rank": rank, "singular_values": s, "shape": d.shape}
 
 
-def check_kkt_point(
-    solution: DesignSolution, duals: Optional[dict], scenario: Scenario, tol: float = 1e-6
-) -> KktReport:
+def check_kkt_point(solution: DesignSolution, duals: Optional[dict], scenario: Scenario) -> KktReport:
     """Re-derive the KKT system of the relaxed point design and measure residuals.
 
     Uses only the multipliers (mu_k, mu_T) and the 2x2 dual block entries
     (phi, beta, gamma) recovered from the solver, rebuilding F, F_bar and
     every Z_k from problem data.  ``stationarity_residual`` compares the
-    rebuilt Z_k against the solver's dual blocks when those are present.
+    rebuilt Z_k against the solver's dual blocks when those are present;
+    ``details["passes"]`` holds when every residual is at most 1e-6.
     """
     if duals is None:
         duals = solution.diagnostics["duals"]
@@ -224,5 +219,5 @@ def check_kkt_point(
     report.active_set = [i for i in range(k) if mu[i] > 1e-8 * max(1.0, mu_t)]
     report.details["mu"] = mu
     report.details["mu_T"] = mu_t
-    report.details["passes"] = report.max_residual() <= tol
+    report.details["passes"] = report.max_residual() <= 1e-6
     return report

@@ -138,18 +138,18 @@ class TestCliMain:
         assert "theta_deg,power_mw" in text
 
     def test_design_then_evaluate_roundtrip(self, tmp_path):
-        sol_path = tmp_path / "sol.json"
-        code = main(["design", "--mode", "point", "--seed", "9", "--out", str(sol_path)])
-        assert code == 0
-        out = tmp_path / "bp.csv"
-        code = main([
-            "evaluate", "--beampattern", "--solution", str(sol_path), "--seed", "9", "--out", str(out)
-        ])
-        assert code == 0
+        sol_path, bp_path, fig3_path = tmp_path / "sol.json", tmp_path / "bp.csv", tmp_path / "fig3.csv"
+        design = ["design", "--mode", "point", "--seed", "9", "--k", "4", "--sinr-db", "15"]
+        assert main(design + ["--out", str(sol_path)]) == 0
+        assert main(["evaluate", "--beampattern", "--solution", str(sol_path), "--seed", "9",
+                     "--out", str(bp_path)]) == 0
+        assert main(["run", "--experiment", "fig3", "--seed", "9", "--out", str(fig3_path)]) == 0
+
         # reproduces the fig3 rows for the same seed
-        ref = run_fig3(config_for("fig3", seed=9)).to_csv().splitlines()
-        got = out.read_text().splitlines()
-        assert [l for l in got if not l.startswith("#")] == [l for l in ref if not l.startswith("#")]
+        def data_rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        assert data_rows(bp_path) == data_rows(fig3_path)
 
     def test_verify_kkt(self, tmp_path, capsys):
         code = main(["verify", "--kkt", "--seed", "4", "--k", "3", "--sinr-db", "10"])

@@ -12,7 +12,8 @@ from crbeam.designs import (
     extract_rank_one,
 )
 from crbeam.errors import Infeasible, RankExcess, ResidualNotPSD, ZeroUsefulPower
-from crbeam.metrics import achieved_sinrs, crb_point_theta
+from crbeam.experiments import draw_channels
+from crbeam.metrics import Scenario, achieved_sinrs, crb_point_theta
 from crbeam.numerics import herm_eig
 
 from conftest import complex_gaussian, make_scenario
@@ -181,6 +182,27 @@ class TestPointMulti:
         assert np.allclose(partial.covariance, w_sum, rtol=0, atol=1e-12 * np.linalg.norm(w_sum))
         assert partial.objective == crb_point_theta(partial.covariance, 0.0, scen.target.alpha, scen)
         assert partial.comm_beamformers.shape == (8, 0)
+
+    def test_rank_excess_partial_is_a_design_without_beamformers(self):
+        # a K=3 draw whose relaxed blocks are not rank one at 16.5 dB
+        channels = draw_channels(3, 16, np.random.default_rng(3))
+
+        def scenario(gamma_db):
+            return Scenario(ArrayGeometry(16, 20), channels, [10 ** (gamma_db / 10)] * 3,
+                            1000.0, 1.0, 1.0, 30, PointTarget(0.0))
+
+        solved = design_point_multi(scenario(10.0))
+        scen = scenario(16.5)
+        with pytest.raises(RankExcess) as info:
+            design_point_multi(scen)
+        partial = info.value.solution
+        assert partial.diagnostics.keys() == solved.diagnostics.keys()
+        assert partial.diagnostics["duals"].keys() == solved.diagnostics["duals"].keys()
+        assert partial.diagnostics["method"] == "sdr_point"
+        assert max(partial.diagnostics["eig_ratios"]) > designs.RANK_ONE_RATIO
+        assert partial.comm_beamformers.shape == (16, 0)
+        assert partial.achieved_sinrs is None and partial.aux_beamformer is None
+        assert partial.objective == crb_point_theta(partial.covariance, 0.0, scen.target.alpha, scen)
 
     def test_full_scale_rank_one(self, rng):
         scen = make_scenario(rng, k=4, n_tx=16, n_rx=20, gamma_db=15.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbeam import _ipm
-from crbeam.designs import design_extended_multi, design_point_multi
+from crbeam.designs import build_extended_sdp, build_point_sdp, design_extended_multi, design_point_multi
 from crbeam.errors import DimensionMismatch
 from crbeam.sdp import (
     SdpProblem,
@@ -211,14 +211,21 @@ class TestSolve:
         assert x[0, 0].real - 0.1 * t == pytest.approx(0.0, abs=1e-9 * abs(t))
 
     def test_blocks_leave_hermitian_at_declared_size(self):
+        # the point and extended designs use the solver's blocks as they come,
+        # without symmetrizing them again
+        rng = np.random.default_rng(8)
         p = single_user_trace_inverse_problem()
-        sol = solve(p)
-        for blocks in (sol.primal_blocks, sol.dual_blocks):
-            assert list(blocks) == [name for name, _ in p.blocks]
-            for name, dim in p.blocks:
-                m = blocks[name]
-                assert m.shape == (dim, dim) and np.iscomplexobj(m)
-                assert np.array_equal(m, m.conj().T)
+        solved = [(p, solve(p))]
+        for design, build in ((design_point_multi, build_point_sdp), (design_extended_multi, build_extended_sdp)):
+            scen = make_scenario(rng, k=2, n_tx=6, n_rx=8, gamma_db=10.0)
+            solved.append((build(scen), design(scen).diagnostics["sdp"]))
+        for p, sol in solved:
+            for blocks in (sol.primal_blocks, sol.dual_blocks):
+                assert list(blocks) == [name for name, _ in p.blocks]
+                for name, dim in p.blocks:
+                    m = blocks[name]
+                    assert m.shape == (dim, dim) and np.iscomplexobj(m)
+                    assert np.array_equal(m, m.conj().T)
 
     def test_max_iter_reports_residuals(self):
         from crbeam.sdp import SolveOptions
