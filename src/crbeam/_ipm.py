@@ -24,9 +24,10 @@ which plays the role of explicit skew-symmetry equality constraints
 without enlarging the Newton system.
 
 Constraint coefficient matrices are mostly elementary (a few nonzero
-entries coupling block entries), so the Schur complement is assembled
-through a per-block sparse representation rather than dense triple
-products.
+entries coupling block entries).  Each block keeps every coefficient row in
+one of two forms, padded nonzero slots for the elementary rows and a dense
+matrix for the rest (``_BlockA``), and the Schur complement is assembled
+from both without a dense triple product per elementary row.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .numerics import hermitize
 
@@ -137,91 +137,79 @@ def _embed_project(m: np.ndarray, nc: int) -> np.ndarray:
     return out
 
 
-def _as_slice(idx: np.ndarray):
-    """``idx`` as a slice when it is one ascending run of indices, else ``idx`` itself."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 class _BlockA:
-    """Constraint coefficients for one real PSD block, in flat sparse form."""
+    """Constraint coefficients for one real PSD block, each row in one form.
+
+    A row with at most ``_DENSE_ROW_NNZ`` nonzeros is elementary: slot q
+    holds its q-th nonzero in row-major order (flat column ``slot_col``,
+    value ``slot_val``), zero-padded to the longest such row.  Every other
+    row is a row of the dense ``(r_d, n*n)`` matrix ``dense``.  The local
+    order is the elementary rows, then the dense rows, each in the caller's
+    order; ``rows`` lists the program rows in that order.
+    """
 
     def __init__(self, rows: np.ndarray, coeff: np.ndarray):
-        self.rows = rows
-        sel = _as_slice(rows)
-        # where this block's rows x rows entries sit in the Schur matrix
-        self.schur_index = (sel, sel) if isinstance(sel, slice) else np.ix_(rows, rows)
-        n_local = rows.shape[0]
-        flat = coeff.reshape(n_local, -1)
-        self.mat = sp.csr_matrix(flat)
-        self.mat_t = self.mat.T.tocsr()
         self.n = coeff.shape[-1]
-        nnz_per_row = np.diff(self.mat.indptr)
-        dense_idx = np.nonzero(nnz_per_row > _DENSE_ROW_NNZ)[0]
-        sparse_idx = np.nonzero(nnz_per_row <= _DENSE_ROW_NNZ)[0]
-        self.dense_sel, self.sparse_sel = _as_slice(dense_idx), _as_slice(sparse_idx)
-        self.dense_stack = coeff[dense_idx] if dense_idx.size else None
-        self.slot_col = None
-        if sparse_idx.size:
-            # slot q of sparse row r holds the row's q-th stored entry in
-            # CSR order (flat column, value), zero-padded to the longest row
-            sub = self.mat[sparse_idx]
-            counts = np.diff(sub.indptr)
-            row = np.repeat(np.arange(sparse_idx.size), counts)
-            slot = np.arange(sub.nnz) - np.repeat(sub.indptr[:-1], counts)
-            shape = (max(1, int(counts.max())), sparse_idx.size)
-            self.slot_col = np.zeros(shape, dtype=int)
-            self.slot_val = np.zeros(shape)
-            self.slot_col[slot, row] = sub.indices
-            self.slot_val[slot, row] = sub.data
-            self.pad_i, self.pad_j = np.divmod(self.slot_col.T, self.n)
+        flat = coeff.reshape(rows.shape[0], -1)
+        is_dense = np.count_nonzero(flat, axis=1) > _DENSE_ROW_NNZ
+        self.rows = r = np.concatenate([rows[~is_dense], rows[is_dense]])
+        # where this block's rows x rows entries sit in the Schur matrix: a
+        # slice when the rows are one ascending run
+        run = np.array_equal(r, np.arange(r[0], r[0] + r.size))
+        self.schur_index = (slice(r[0], r[-1] + 1),) * 2 if run else np.ix_(r, r)
+        self.dense = flat[is_dense]
+        self.r_e = rows.shape[0] - self.dense.shape[0]
+        row, col = np.nonzero(flat)
+        keep = ~is_dense[row]
+        row, col = row[keep], col[keep]
+        slot = np.arange(row.size) - np.searchsorted(row, row)   # rank of each nonzero in its row
+        local = (np.cumsum(~is_dense) - 1)[row]                  # its row's elementary index
+        self.slot_col = np.zeros((slot.max(initial=0) + 1, self.r_e), dtype=int)
+        self.slot_val = np.zeros(self.slot_col.shape)
+        self.slot_col[slot, local] = col
+        self.slot_val[slot, local] = flat[row, col]
+        self.pad_i, self.pad_j = np.divmod(self.slot_col.T, self.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A_block(x): one inner product per local row."""
-        return self.mat @ x.ravel()
+        xf = x.ravel()
+        return np.concatenate([np.sum(xf[self.slot_col] * self.slot_val, axis=0), self.dense @ xf])
 
     def apply_t(self, y_local: np.ndarray) -> np.ndarray:
-        return (self.mat_t @ y_local).reshape(self.n, self.n)
+        """A_block^T(y): the local rows' coefficients weighted by ``y_local``."""
+        y_e, y_d = y_local[:self.r_e], y_local[self.r_e:]
+        elem = np.bincount(self.slot_col.ravel(), weights=(self.slot_val * y_e).ravel(),
+                           minlength=self.n * self.n)
+        return (elem + y_d @ self.dense).reshape(self.n, self.n)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """M_local = [tr(C_r W C_s W)]_{rs} for the NT matrix ``w``.
 
-        With U_s = W C_s W flattened, entry (r, s) is row r of ``mat``
-        contracted with U_s term by term in CSR order, starting from zero,
-        as ``mat @ U.T`` sums it; both paths below keep that order, so the
-        result is the same to the last bit.  Elementary rows (the common
-        case: subblock-coupling constraints) form U_s as padded batched
-        rank-one updates W C W = sum_t v_t (W e_i)(W e_j)^T, avoiding dense
-        triple products.  The result is exactly symmetric.
+        U_s = W C_s W is formed for every local row, written in place into
+        its row of ``u``: elementary rows as padded batched rank-one updates
+        W C W = sum_t v_t (W e_i)(W e_j)^T, dense rows as triple products.
+        The transpose M^T = [<C_r, U_s>]_{sr} is then assembled column by
+        column: for the dense rows as U D^T, for the elementary rows by
+        gathering each slot's column of U.  The result is exactly symmetric.
         """
-        u_dense = u_sparse = None
-        if self.dense_stack is not None:
-            u_dense = (w @ self.dense_stack @ w).reshape(self.dense_stack.shape[0], -1)
-        if self.slot_col is not None:
-            r_s, nmax = self.pad_i.shape
-            # w is symmetric: row gathers give the needed columns contiguously
-            left = w[self.pad_i.ravel()].reshape(r_s, nmax, self.n) * self.slot_val.T[:, :, None]
-            right = w[self.pad_j.ravel()].reshape(r_s, nmax, self.n)
-            u_sparse = np.matmul(left.transpose(0, 2, 1), right).reshape(r_s, -1)
-        if u_dense is None:
-            # elementary rows only: gather each slot's column of U rather than
-            # transposing all of U; m_t[s, r] = M_local[r, s], and _sym gives
-            # the same bits for a matrix and its transpose
-            m_t = np.zeros((r_s, r_s))
-            term = np.empty_like(m_t)
-            for col, val in zip(self.slot_col, self.slot_val):
-                np.take(u_sparse, col, axis=1, out=term, mode="clip")   # "raise" would buffer ``out``
-                term *= val
-                m_t += term
-            return _sym(m_t)
-        # the dense rows' sparse product needs U^T in row-major order; the
-        # elementary rows share it
-        u_t = np.empty((self.n * self.n, self.rows.shape[0]))
-        u_t[:, self.dense_sel] = u_dense.T
-        if u_sparse is not None:
-            u_t[:, self.sparse_sel] = u_sparse.T
-        return _sym(self.mat @ u_t)
+        n, r_e = self.n, self.r_e
+        nmax = self.slot_col.shape[0]
+        u = np.empty((self.rows.shape[0], n * n))
+        # w is symmetric: row gathers give the needed columns contiguously
+        left = w[self.pad_i.ravel()].reshape(r_e, nmax, n) * self.slot_val.T[:, :, None]
+        right = w[self.pad_j.ravel()].reshape(r_e, nmax, n)
+        np.matmul(left.transpose(0, 2, 1), right, out=u[:r_e].reshape(r_e, n, n))
+        np.matmul(w @ self.dense.reshape(-1, n, n), w, out=u[r_e:].reshape(-1, n, n))
+        # m_t[s, r] = M_local[r, s]; _sym gives the same bits for a matrix and its transpose
+        m_t = np.zeros((u.shape[0], u.shape[0]))
+        m_t[:, r_e:] = u @ self.dense.T
+        m_e = m_t[:, :r_e]
+        term = np.empty((u.shape[0], r_e))
+        for col, val in zip(self.slot_col, self.slot_val):
+            np.take(u, col, axis=1, out=term, mode="clip")   # "raise" would buffer ``out``
+            term *= val
+            m_e += term
+        return _sym(m_t)
 
 
 def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xs: np.ndarray, xf: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line front end: experiment runs plus ad-hoc design/evaluate/verify.
 
 ``design`` and ``verify --kkt`` solve the scenario ``experiments.draw_scenario``
-draws from the config, and ``evaluate --beampattern`` writes the table of
+draws from the config, and ``evaluate`` writes the table of
 ``experiments.beampattern_table``, so both match the fig3 run of the same config.
 
 Exit codes: 0 success, 2 infeasible scenario, 3 solver failure, 4 bad config.
@@ -150,14 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument("--experiment", help="experiment id (fig2..fig7|custom)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
         p.add_argument("--k", type=int, help="number of users")
         p.add_argument("--sinr-db", dest="sinr_db", type=float)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_run = sub.add_parser("run", help="run a figure-style experiment")
     common(p_run)
+    p_run.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(fn=cmd_run)
 
     p_design = sub.add_parser(
@@ -167,16 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--mode", choices=("point", "extended"), required=True)
     p_design.set_defaults(fn=cmd_design)
 
-    p_eval = sub.add_parser("evaluate", help="evaluate a saved solution")
+    p_eval = sub.add_parser("evaluate", help="beampattern table of a saved solution")
     common(p_eval)
-    p_eval.add_argument("--beampattern", action="store_true")
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.add_argument("--solution", required=True, help="solution JSON from 'design'")
     p_eval.set_defaults(fn=cmd_evaluate)
 
     p_verify = sub.add_parser("verify", help="verification reports")
     common(p_verify)
-    p_verify.add_argument("--kkt", action="store_true", help="KKT report for a point design")
-    p_verify.add_argument("--schur", action="store_true", help="Schur-complement equivalence check")
+    check = p_verify.add_mutually_exclusive_group(required=True)
+    check.add_argument("--kkt", action="store_true", help="KKT report for a point design")
+    check.add_argument("--schur", action="store_true", help="Schur-complement equivalence check")
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.set_defaults(fn=cmd_verify)
     return ap

@@ -141,8 +141,7 @@ class TestCliMain:
         sol_path, bp_path, fig3_path = tmp_path / "sol.json", tmp_path / "bp.csv", tmp_path / "fig3.csv"
         design = ["design", "--mode", "point", "--seed", "9", "--k", "4", "--sinr-db", "15"]
         assert main(design + ["--out", str(sol_path)]) == 0
-        assert main(["evaluate", "--beampattern", "--solution", str(sol_path), "--seed", "9",
-                     "--out", str(bp_path)]) == 0
+        assert main(["evaluate", "--solution", str(sol_path), "--seed", "9", "--out", str(bp_path)]) == 0
         assert main(["run", "--experiment", "fig3", "--seed", "9", "--out", str(fig3_path)]) == 0
 
         # reproduces the fig3 rows for the same seed
@@ -161,6 +160,21 @@ class TestCliMain:
         code = main(["verify", "--schur", "--samples", "25", "--seed", "6"])
         assert code == 0
         assert "schur-equivalence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "4"],                       # neither report chosen
+        ["verify", "--kkt", "--schur"],                  # both
+        ["verify", "--schur", "--format", "json"],
+        ["design", "--mode", "point", "--trials", "10"],
+        ["design", "--mode", "point", "--format", "json"],
+        ["evaluate", "--beampattern", "--solution", "sol.json"],
+        ["evaluate", "--trials", "10", "--solution", "sol.json"],
+    ])
+    def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self):
         code = main(["design", "--mode", "point", "--seed", "4", "--k", "6", "--sinr-db", "80"])

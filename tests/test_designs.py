@@ -183,8 +183,9 @@ class TestPointMulti:
         assert partial.objective == crb_point_theta(partial.covariance, 0.0, scen.target.alpha, scen)
         assert partial.comm_beamformers.shape == (8, 0)
 
-    def test_rank_excess_partial_is_a_design_without_beamformers(self):
-        # a K=3 draw whose relaxed blocks are not rank one at 16.5 dB
+    def test_rank_excess_partial_is_a_design_without_beamformers(self, monkeypatch):
+        # the same draw solved at 10 dB, then sent down the raise path at 16.5 dB
+        # by a zero eigenvalue-ratio threshold, whatever the solver's rounding
         channels = draw_channels(3, 16, np.random.default_rng(3))
 
         def scenario(gamma_db):
@@ -192,6 +193,7 @@ class TestPointMulti:
                             1000.0, 1.0, 1.0, 30, PointTarget(0.0))
 
         solved = design_point_multi(scenario(10.0))
+        monkeypatch.setattr(designs, "RANK_ONE_RATIO", 0.0)
         scen = scenario(16.5)
         with pytest.raises(RankExcess) as info:
             design_point_multi(scen)

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +82,7 @@ def single_user_trace_inverse_problem():
     return p
 
 
-_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @st.composite
@@ -388,41 +387,52 @@ def test_solve_options_defaults():
 # -- Schur assembly: bit-for-bit against the plain formula -----------------
 
 
-def reference_gram(op, w):
-    """M = mat @ U.T, then _sym, with U_r = W C_r W formed row by row as
-    elementary (padded rank-one batch) or dense (triple product) rows."""
-    n = op.n
-    nnz = np.diff(op.mat.indptr)
-    dense = np.nonzero(nnz > _ipm._DENSE_ROW_NNZ)[0]
-    sparse = np.nonzero(nnz <= _ipm._DENSE_ROW_NNZ)[0]
-    u = np.zeros((op.rows.size, n * n))
-    if dense.size:
-        stack = op.mat[dense].toarray().reshape(-1, n, n)
-        u[dense] = (w @ stack @ w).reshape(dense.size, -1)
-    sub = op.mat[sparse].tocsr()
-    nmax = int(np.max(np.diff(sub.indptr))) if sub.nnz else 0
-    if nmax:
-        pad_i = np.zeros((sparse.size, nmax), dtype=int)
-        pad_j = np.zeros((sparse.size, nmax), dtype=int)
-        pad_v = np.zeros((sparse.size, nmax))
-        for r in range(sparse.size):
-            lo, hi = sub.indptr[r], sub.indptr[r + 1]
-            pad_i[r, : hi - lo], pad_j[r, : hi - lo] = np.unravel_index(sub.indices[lo:hi], (n, n))
-            pad_v[r, : hi - lo] = sub.data[lo:hi]
-        left = w[pad_i.ravel()].reshape(sparse.size, nmax, n) * pad_v[:, :, None]
-        right = w[pad_j.ravel()].reshape(sparse.size, nmax, n)
-        u[sparse] = np.matmul(left.transpose(0, 2, 1), right).reshape(sparse.size, -1)
-    return _ipm._sym(np.asarray(op.mat @ u.T))
+def local_stack(op, rows, coeff):
+    """The coefficient stack of a block whose caller rows are ``rows``, in ``op``'s local row order."""
+    pos = {int(r): i for i, r in enumerate(rows)}
+    return coeff[[pos[int(r)] for r in op.rows]]
+
+
+def reference_gram(stack, w):
+    """M^T = [<C_r, U_s>]_{sr}, then _sym, with U_s = W C_s W, from the
+    coefficient stack row by row: a row with more than _DENSE_ROW_NNZ
+    nonzeros is dense (U_s a triple product, its column of M^T from U D^T),
+    any other is elementary (U_s a padded rank-one batch, its column of M^T
+    summed over its nonzeros in row-major order, starting from zero)."""
+    n = w.shape[0]
+    flat = stack.reshape(stack.shape[0], -1)
+    nnz = np.count_nonzero(flat, axis=1)
+    dense = nnz > _ipm._DENSE_ROW_NNZ
+    elem = np.nonzero(~dense)[0]
+    u = np.zeros((stack.shape[0], n * n))
+    u[dense] = (w @ stack[dense] @ w).reshape(-1, n * n)
+    nmax = max(1, int(nnz[elem].max(initial=0)))
+    pad_i = np.zeros((elem.size, nmax), dtype=int)
+    pad_j = np.zeros((elem.size, nmax), dtype=int)
+    pad_v = np.zeros((elem.size, nmax))
+    for k, r in enumerate(elem):
+        cols = np.nonzero(flat[r])[0]
+        pad_i[k, : cols.size], pad_j[k, : cols.size] = np.divmod(cols, n)
+        pad_v[k, : cols.size] = flat[r, cols]
+    left = w[pad_i.ravel()].reshape(elem.size, nmax, n) * pad_v[:, :, None]
+    right = w[pad_j.ravel()].reshape(elem.size, nmax, n)
+    u[elem] = np.matmul(left.transpose(0, 2, 1), right).reshape(elem.size, n * n)
+    m_t = np.zeros((stack.shape[0], stack.shape[0]))
+    m_t[:, dense] = u @ flat[dense].T
+    for r in elem:
+        for col in np.nonzero(flat[r])[0]:
+            m_t[:, r] += flat[r, col] * u[:, col]
+    return _ipm._sym(m_t)
 
 
 def reference_schur(ops, prog, nt):
     m = np.zeros((prog.n_rows, prog.n_rows))
-    for op, w in zip(ops, nt.w):
-        m[np.ix_(op.rows, op.rows)] += reference_gram(op, w)
-    # the slacks as a sparse diagonal block: S diag(w) S^T
-    mat = scipy.sparse.csr_matrix(np.diag(prog.slack_coef))
-    dense = mat.multiply(nt.w_slack[np.newaxis, :]) @ mat.T
-    m[np.ix_(prog.slack_rows, prog.slack_rows)] += np.asarray(dense.todense())
+    for op, rows, coeff, w in zip(ops, prog.a_rows, prog.a_coeff, nt.w):
+        m[np.ix_(op.rows, op.rows)] += reference_gram(local_stack(op, rows, coeff), w)
+    # the slacks as S diag(w) S^T, S the dense (rows x slacks) coefficient matrix
+    s = np.zeros((prog.n_rows, prog.slack_rows.size))
+    s[prog.slack_rows, np.arange(prog.slack_rows.size)] = prog.slack_coef
+    m += (s * nt.w_slack) @ s.T
     return _ipm._sym(m)
 
 
@@ -473,6 +483,8 @@ def schur_program(rng):
         (4, np.arange(20, 26), ["diag"] * 6),
         # all-zero rows
         (3, np.arange(26, 29), ["zero"] * 3),
+        # dense rows only, non-contiguous
+        (5, np.array([9, 10, 16, 35]), ["dense"] * 4),
     ]
     rows, coeff, w = [], [], []
     for dim, r, kinds in spec:
@@ -491,16 +503,17 @@ class TestSchurAssembly:
     def test_gram_equals_plain_formula_bitwise(self, rng):
         for _ in range(3):
             prog, ops, nt = schur_program(rng)
-            for op, w in zip(ops, nt.w):
-                assert np.array_equal(op.gram(w), reference_gram(op, w))
+            for op, rows, coeff, w in zip(ops, prog.a_rows, prog.a_coeff, nt.w):
+                assert np.array_equal(op.gram(w), reference_gram(local_stack(op, rows, coeff), w))
 
     def test_schur_equals_plain_formula_bitwise(self, rng):
         for _ in range(3):
             prog, ops, nt = schur_program(rng)
-            # contiguous and scattered row sets, elementary-only and mixed blocks
+            # contiguous and scattered row sets; elementary-only, dense-only and mixed blocks
             assert {isinstance(op.schur_index[0], slice) for op in ops} == {True, False}
-            assert any(op.dense_stack is None for op in ops)
-            assert any(op.dense_stack is not None and op.slot_col is not None for op in ops)
+            assert any(op.dense.shape[0] == 0 for op in ops)
+            assert any(op.r_e == 0 for op in ops)
+            assert any(op.dense.shape[0] and op.r_e for op in ops)
             assert np.array_equal(_ipm._schur(ops, prog, nt), reference_schur(ops, prog, nt))
 
     def test_schur_is_exactly_symmetric_on_design_iterates(self, monkeypatch):
@@ -525,9 +538,37 @@ class TestSchurAssembly:
     def test_gram_matches_trace_formula(self, rng):
         prog, ops, nt = schur_program(rng)
         op, w = ops[0], nt.w[0]
-        c = prog.a_coeff[0]
+        c = local_stack(op, prog.a_rows[0], prog.a_coeff[0])
         want = np.einsum("rab,bc,scd,da->rs", c, w, c, w)
         assert np.allclose(op.gram(w), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_each_row_in_one_form(self, rng):
+        prog, ops, _ = schur_program(rng)
+        for op, rows, coeff in zip(ops, prog.a_rows, prog.a_coeff):
+            assert sorted(op.rows) == sorted(rows)
+            stack = local_stack(op, rows, coeff).reshape(rows.size, -1)
+            elem = np.zeros((op.r_e, op.n * op.n))
+            for col, val in zip(op.slot_col, op.slot_val):
+                elem[np.arange(op.r_e), col] += val
+            assert np.array_equal(np.vstack([elem, op.dense]), stack)
+
+    def test_apply_matches_trace_formula_and_apply_t_is_its_adjoint(self, rng):
+        # every block of schur_program: mixed, elementary-only, diagonal and
+        # all-zero rows, on contiguous and scattered row sets
+        for _ in range(3):
+            prog, ops, _ = schur_program(rng)
+            for op, rows, coeff in zip(ops, prog.a_rows, prog.a_coeff):
+                c = local_stack(op, rows, coeff)
+                x = random_pd(rng, op.n)
+                y = rng.standard_normal(rows.size)
+                ax, aty = op.apply(x), op.apply_t(y)
+                want_ax = np.einsum("rab,ba->r", c, x)
+                want_aty = np.einsum("r,rab->ab", y, c)
+                scale = np.linalg.norm(c) * np.linalg.norm(x)
+                assert ax.shape == (rows.size,) and aty.shape == (op.n, op.n)
+                assert np.allclose(ax, want_ax, rtol=0, atol=1e-13 * scale)
+                assert np.allclose(aty, want_aty, rtol=0, atol=1e-13 * np.linalg.norm(c) * np.linalg.norm(y))
+                assert abs(ax @ y - np.sum(x * aty)) <= 1e-13 * scale * np.linalg.norm(y)
 
 
 class TestStepLength:
