@@ -2,18 +2,17 @@
 
 Solves
 
-    minimize    <c, x> + c_f^T x_f
-    subject to  A x + A_f x_f = b,   x in K,
+    minimize    <c, x>
+    subject to  A x = b,   x in K,
 
 where ``K`` is a product of complex Hermitian PSD blocks and ``A x``
 includes the inequality slacks: slack s_i >= 0 enters row ``slack_rows[i]``
 alone, with coefficient ``slack_coef[i]``, so each adds one term to the
-diagonal of the Schur complement.  The free variables x_f enter through the dense columns A_f (a
-matrix with no columns when there are none).  The method is path
+diagonal of the Schur complement.  There are no free variables: the
+caller substitutes them out (``crbeam.sdp``).  The method is path
 following with Nesterov-Todd scaling and a Mehrotra predictor-corrector
-step; the free columns border the Newton system's Schur complement.
-Slacks and free variables are internal: the result reports the PSD
-blocks in ``x`` and ``z``, and the free variables in ``x_free``.
+step.  Slacks are internal: the result reports the PSD blocks in ``x``
+and ``z``.
 
 The iteration is real: on entry ``solve_cone_program`` maps each n x n
 block X to its embedding ``[[Re X, -Im X], [Im X, Re X]]`` and each
@@ -73,8 +72,6 @@ class ConeProgram:
     a_rows: List[np.ndarray]                  # per block: indices of the rows it appears in
     a_coeff: List[np.ndarray]                 # per block: (r, n, n) Hermitian coefficient stack
     b: np.ndarray
-    c_free: np.ndarray                        # (n_free,) objective of the free variables
-    a_free: np.ndarray                        # (n_rows, n_free) their constraint columns
     slack_rows: np.ndarray                    # (n_slack,) the inequality rows, one slack each
     slack_coef: np.ndarray                    # (n_slack,) the slack's coefficient in its row
 
@@ -87,7 +84,6 @@ class ConeProgram:
 class IpmResult:
     status: str                              # Optimal | Infeasible | Unbounded | MaxIter
     x: List[np.ndarray]                      # Hermitian PSD blocks, n x n; the slacks are not reported
-    x_free: np.ndarray
     y: np.ndarray
     z: List[np.ndarray]                      # dual Hermitian PSD blocks, n x n
     pobj: float
@@ -98,7 +94,7 @@ class IpmResult:
     iterations: int
     termination: str                         # why the iteration stopped; one of TERMINATIONS
     history: List[dict] = field(default_factory=list)
-    certificate: Optional[dict] = None       # dual ray, or primal ray over the Hermitian blocks and x_free
+    certificate: Optional[dict] = None       # dual ray, or primal ray over the Hermitian blocks
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -172,8 +168,8 @@ class _BlockA:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A_block(x): one inner product per local row."""
-        xf = x.ravel()
-        return np.concatenate([np.sum(xf[self.slot_col] * self.slot_val, axis=0), self.dense @ xf])
+        flat = x.ravel()
+        return np.concatenate([np.sum(flat[self.slot_col] * self.slot_val, axis=0), self.dense @ flat])
 
     def apply_t(self, y_local: np.ndarray) -> np.ndarray:
         """A_block^T(y): the local rows' coefficients weighted by ``y_local``."""
@@ -212,12 +208,12 @@ class _BlockA:
         return _sym(m_t)
 
 
-def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xs: np.ndarray, xf: np.ndarray) -> np.ndarray:
+def _apply_a(ops, prog: ConeProgram, x: Sequence[np.ndarray], xs: np.ndarray) -> np.ndarray:
     out = np.zeros(prog.n_rows)
     for op, xb in zip(ops, x):
         out[op.rows] += op.apply(xb)
     out[prog.slack_rows] += prog.slack_coef * xs
-    return out + prog.a_free @ xf
+    return out
 
 
 def _apply_at(ops, y: np.ndarray) -> List[np.ndarray]:
@@ -287,11 +283,11 @@ def _schur(ops, prog: ConeProgram, nt: _NTScaling) -> np.ndarray:
 
 
 class _SchurSolver:
-    """Factorization of [[M, A_f], [A_f^T, 0]] with one step of iterative refinement."""
+    """Cholesky factorization of M, jittered when M is numerically singular,
+    with one step of iterative refinement against M."""
 
-    def __init__(self, m: np.ndarray, af: np.ndarray):
+    def __init__(self, m: np.ndarray):
         self.m = m
-        self.af = af
         jitter = 0.0
         base = max(np.trace(m) / max(1, m.shape[0]), 1.0)
         for _ in range(8):
@@ -302,22 +298,10 @@ class _SchurSolver:
                 jitter = max(jitter * 100.0, 1e-14 * base)
         else:
             raise np.linalg.LinAlgError("Schur complement factorization failed")
-        self.t = sla.cho_solve(self.chol, af)
-        s = af.T @ self.t
-        self.s = _sym(s) + 1e-300 * np.eye(s.shape[0])
 
-    def _solve_once(self, rhs: np.ndarray, rhs_free: np.ndarray):
-        u = sla.cho_solve(self.chol, rhs)
-        dxf = np.linalg.solve(self.s, self.af.T @ u - rhs_free)
-        return u - self.t @ dxf, dxf
-
-    def solve(self, rhs: np.ndarray, rhs_free: np.ndarray):
-        dy, dxf = self._solve_once(rhs, rhs_free)
-        # one refinement pass against the augmented system
-        r1 = rhs - self.m @ dy - self.af @ dxf
-        r2 = rhs_free - self.af.T @ dy
-        e1, e2 = self._solve_once(r1, r2)
-        return dy + e1, dxf + e2
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        dy = sla.cho_solve(self.chol, rhs)
+        return dy + sla.cho_solve(self.chol, rhs - self.m @ dy)
 
 
 def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_tol: float) -> IpmResult:
@@ -344,73 +328,55 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     for rows, coeff in zip(prog.a_rows, a_coeff):
         np.maximum.at(row_scale, rows, np.sqrt(np.sum(coeff**2, axis=(1, 2))))
     np.maximum.at(row_scale, srows, np.abs(prog.slack_coef))
-    row_scale = np.maximum(row_scale, np.sqrt(np.sum(prog.a_free**2, axis=1)))
     row_scale = np.maximum(row_scale, 1e-12)
-    # free-column equilibration balances t-like variables against the blocks;
-    # every free column has a nonzero (SdpProblem.validate)
-    a_free = prog.a_free / row_scale[:, np.newaxis]
-    col_scale = np.max(np.abs(a_free), axis=0, initial=0.0)
     for rows, coeff in zip(prog.a_rows, a_coeff):
         coeff /= row_scale[rows][:, np.newaxis, np.newaxis]   # in place: no unscaled copy outlives this
     # from here on ``prog`` is the embedded, equilibrated real program
-    prog = ConeProgram(
-        c=c,
-        a_rows=prog.a_rows,
-        a_coeff=a_coeff,
-        b=prog.b / row_scale,
-        c_free=prog.c_free / col_scale,
-        a_free=a_free / col_scale,
-        slack_rows=srows,
-        slack_coef=prog.slack_coef / row_scale[srows],
-    )
-    af = prog.a_free
+    prog = ConeProgram(c=c, a_rows=prog.a_rows, a_coeff=a_coeff, b=prog.b / row_scale,
+                       slack_rows=srows, slack_coef=prog.slack_coef / row_scale[srows])
     scoef = prog.slack_coef
 
     ops = [_BlockA(rows, coeff) for rows, coeff in zip(prog.a_rows, prog.a_coeff)]
 
     # -- scaling of the data ------------------------------------------------
     norm_b = max(1.0, float(np.max(np.abs(prog.b))))
-    norm_c = max(1.0, max(float(np.max(np.abs(cb))) if cb.size else 0.0 for cb in prog.c + [prog.c_free]))
+    norm_c = max(1.0, max(float(np.max(np.abs(cb))) if cb.size else 0.0 for cb in prog.c))
     c_s = [cb / norm_c for cb in prog.c]
-    cf_s = prog.c_free / norm_c
     b_s = prog.b / norm_b
 
     x = [np.eye(2 * n) for n in sizes]
     z = [np.eye(2 * n) for n in sizes]
     xs = np.ones(srows.shape[0])
     zs = np.ones(srows.shape[0])
-    xf = np.zeros(af.shape[1])
     y = np.zeros(m_rows)
 
     history: List[dict] = []
     best = None
     stall = 0
 
-    # sums take the blocks first, then the slacks, then the free terms;
-    # another order rounds differently
-    def residuals(x, xs, xf, y, z, zs):
-        rp = b_s - _apply_a(ops, prog, x, xs, xf)
+    # sums take the blocks first, then the slacks; another order rounds differently
+    def residuals(x, xs, y, z, zs):
+        rp = b_s - _apply_a(ops, prog, x, xs)
         aty = _apply_at(ops, y)
         rd = [c_s[j] - aty[j] - z[j] for j in range(len(ops))]
         rd_s = -scoef * y[srows] - zs
-        rd_f = cf_s - af.T @ y
-        pobj = _inner(c_s + [cf_s], x + [xf])
+        pobj = _inner(c_s, x)
         dobj = float(b_s @ y)
         res_p = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b_s)))
-        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd + [rd_s, rd_f]))) / (
-            1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s + [cf_s])))
+        res_d = float(np.sqrt(sum(np.sum(r * r) for r in rd + [rd_s]))) / (
+            1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s)))
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap
+        return rp, rd, rd_s, pobj, dobj, res_p, res_d, gap
 
-    def record_best(metric, x, xs, xf, y, z, zs):
+    def record_best(metric, x, xs, y, z, zs):
         nonlocal best
         if best is None or metric < best[0]:
-            best = (metric, [xb.copy() for xb in x], xs.copy(), xf.copy(), y.copy(),
+            best = (metric, [xb.copy() for xb in x], xs.copy(), y.copy(),
                     [zb.copy() for zb in z], zs.copy())
 
     def check_infeasible(yv):
-        """Dual improving ray: b^T y > 0, -A^T y in the dual cone and A_f^T y = 0."""
+        """Dual improving ray: b^T y > 0 and -A^T y in the dual cone."""
         ny = float(np.linalg.norm(yv))
         if ny < 1e-12:
             return None
@@ -426,22 +392,20 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         zs_ray = -(scoef * yn[srows])
         scale = max(scale, float(np.max(np.abs(zs_ray), initial=0.0)))
         viol = max(viol, max(0.0, -float(np.min(zs_ray, initial=0.0))))
-        viol = max(viol, float(np.max(np.abs(af.T @ yn), initial=0.0)))
         if viol <= 1e-9 * scale:
             return {"kind": "dual_ray", "y": yn, "improvement": improvement, "cone_violation": viol}
         return None
 
-    def check_unbounded(xv, xsv, xfv):
-        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xsv, xfv])))
+    def check_unbounded(xv, xsv):
+        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xsv])))
         if nx < 1e-12:
             return None
-        xr, xsr, xfr = [b / nx for b in xv], xsv / nx, xfv / nx
-        rate = _inner(c_s + [cf_s], xr + [xfr])
+        xr, xsr = [b / nx for b in xv], xsv / nx
+        rate = _inner(c_s, xr)
         if rate > -INFEAS_TOL:
             return None
-        if float(np.linalg.norm(_apply_a(ops, prog, xr, xsr, xfr))) <= 1e-9:
-            return {"kind": "primal_ray", "x": [_unembed(b) for b in xr], "x_free": xfr / col_scale,
-                    "objective_rate": rate}
+        if float(np.linalg.norm(_apply_a(ops, prog, xr, xsr))) <= 1e-9:
+            return {"kind": "primal_ray", "x": [_unembed(b) for b in xr], "objective_rate": rate}
         return None
 
     status, termination = "MaxIter", "max_iter"
@@ -449,7 +413,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     it = 0
     no_progress = 0
     for it in range(1, max_iter + 1):
-        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xs, xf, y, z, zs)
+        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
         mu = (_inner(x, z) + float(np.sum(xs * zs))) / nu
         # at large objective magnitudes gap_rel bottoms out on cancellation noise;
         # mu is then the sharper complementarity measure
@@ -459,7 +423,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             no_progress += 1
         else:
             no_progress = 0
-        record_best(metric, x, xs, xf, y, z, zs)
+        record_best(metric, x, xs, y, z, zs)
         history.append(
             {
                 "iter": it - 1,
@@ -485,14 +449,14 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
                 status, termination, certificate = "Infeasible", "dual_ray", cert
                 break
         if it > 5:
-            cert = check_unbounded(x, xs, xf)
+            cert = check_unbounded(x, xs)
             if cert is not None:
                 status, termination, certificate = "Unbounded", "primal_ray", cert
                 break
 
         try:
             nt = _NTScaling(x, z, xs, zs)
-            solver = _SchurSolver(_schur(ops, prog, nt), af)
+            solver = _SchurSolver(_schur(ops, prog, nt))
         except np.linalg.LinAlgError:
             termination = "schur_failure"
             break
@@ -503,13 +467,13 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
                 hv = nt.apply(j, rd[j])
                 rhs[op.rows] -= op.apply(rc_blocks[j] - hv)
             rhs[srows] -= scoef * (rc_slack - nt.w_slack * rd_s)
-            dy, dxf = solver.solve(rhs, rd_f)
+            dy = solver.solve(rhs)
             aty = _apply_at(ops, dy)
             dz = [_sym(rd[j] - aty[j]) for j in range(len(ops))]
             dx = [_sym(rc_blocks[j] - nt.apply(j, dz[j])) for j in range(len(ops))]
             dzs = rd_s - scoef * dy[srows]
             dxs = rc_slack - nt.w_slack * dzs
-            return dx, dxs, dxf, dy, dz, dzs
+            return dx, dxs, dy, dz, dzs
 
         def max_steps(dx, dxs, dz, dzs):
             ap = ad = np.inf
@@ -521,7 +485,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             return ap, ad
 
         # predictor (affine) step
-        dx_a, dxs_a, _, dy_a, dz_a, dzs_a = newton([-xb for xb in x], -xs)
+        dx_a, dxs_a, _, dz_a, dzs_a = newton([-xb for xb in x], -xs)
         ap_a, ad_a = max_steps(dx_a, dxs_a, dz_a, dzs_a)
         ap_a, ad_a = min(1.0, STEP_FRAC * ap_a), min(1.0, STEP_FRAC * ad_a)
         gap_now = mu * nu
@@ -542,8 +506,8 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             rc_s = 2.0 * nmat / np.add.outer(lam, lam)
             rc.append(_sym(g @ rc_s @ g.T))
         rc_slack = (sigma * mu - xs * zs - dxs_a * dzs_a) / zs
-        dx, dxs, dxf, dy, dz, dzs = newton(rc, rc_slack)
-        if any(not np.all(np.isfinite(d)) for d in dx + [dxs, dxf]) or not np.all(np.isfinite(dy)):
+        dx, dxs, dy, dz, dzs = newton(rc, rc_slack)
+        if any(not np.all(np.isfinite(d)) for d in dx + [dxs]) or not np.all(np.isfinite(dy)):
             termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dxs, dz, dzs)
@@ -562,29 +526,26 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             z[j] = _embed_project(z[j] + ad * dz[j], n)
         xs = xs + ap * dxs
         zs = zs + ad * dzs
-        xf = xf + ap * dxf
         y = y + ad * dy
 
     if status in ("MaxIter", "Optimal") and best is not None:
         # report the best iterate seen (current one, unless we stalled past it)
-        _, bx, bxs, bxf, by, bz, bzs = best
-        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(bx, bxs, bxf, by, bz, bzs)
+        _, bx, bxs, by, bz, bzs = best
+        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(bx, bxs, by, bz, bzs)
         metric = max(res_p, res_d, gap)
         if status != "Optimal" and metric <= tol:
             status = "Optimal"
-        x, xf, y, z = bx, bxf, by, bz
+        x, y, z = bx, by, bz
     else:
-        rp, rd, rd_s, rd_f, pobj, dobj, res_p, res_d, gap = residuals(x, xs, xf, y, z, zs)
+        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
 
     # undo data scaling (row equilibration folds into the multipliers)
     y_out = y * norm_c / row_scale
     if certificate is not None and "y" in certificate:
-        certificate = dict(certificate)
         certificate["y"] = certificate["y"] / row_scale
     return IpmResult(
         status=status,
         x=[_unembed(xb * norm_b) for xb in x],
-        x_free=xf * norm_b / col_scale,
         y=y_out,
         z=[2.0 * _unembed(zb * norm_c) for zb in z],     # the halved coefficients give a halved Z
         pobj=pobj * norm_b * norm_c,

@@ -146,12 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"crbeam {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, users=True):
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument("--experiment", help="experiment id (fig2..fig7|custom)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--k", type=int, help="number of users")
-        p.add_argument("--sinr-db", dest="sinr_db", type=float)
+        if users:
+            p.add_argument("--k", type=int, help="number of users")
+            p.add_argument("--sinr-db", dest="sinr_db", type=float)
         p.add_argument("--out", help="output path (default stdout)")
 
     p_run = sub.add_parser("run", help="run a figure-style experiment")
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(fn=cmd_design)
 
     p_eval = sub.add_parser("evaluate", help="beampattern table of a saved solution")
-    common(p_eval)
+    common(p_eval, users=False)
     p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.add_argument("--solution", required=True, help="solution JSON from 'design'")
     p_eval.set_defaults(fn=cmd_evaluate)
@@ -186,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "schur", False) and (args.k is not None or args.sinr_db is not None):
+        ap.error("verify --schur reads neither --k nor --sinr-db")
     try:
         return args.fn(args)
     except Infeasible as exc:

@@ -260,8 +260,7 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
-    # deep polish: the rank-one certification keys off the final complementarity
-    sol = solve(problem, opts or SolveOptions(max_iter=150, target_tol=1e-11))
+    sol = solve(problem, opts)
     _check_status(sol, "point")
 
     k = scenario.n_users

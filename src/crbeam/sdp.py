@@ -2,9 +2,11 @@
 
 The public surface works with complex Hermitian PSD variable blocks,
 free real scalars, and linear constraints over trace inner products.
-``solve`` stacks each block's coefficients at the block's own size and
-hands them to the interior-point core in :mod:`crbeam._ipm`, which owns
-how Hermitian blocks are represented inside the iteration.
+A free scalar is defined by its one ``==`` row, which ``solve`` uses to
+substitute it out.  ``solve`` stacks each block's coefficients at the
+block's own size and hands them to the interior-point core in
+:mod:`crbeam._ipm`, which solves over PSD blocks alone and owns how
+Hermitian blocks are represented inside the iteration.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class SdpProblem:
                 return d
         raise KeyError(name)
 
-    def validate(self) -> None:
+    def validate(self) -> Dict[str, int]:
+        """Check the problem; return each free scalar's defining row."""
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
@@ -86,16 +89,22 @@ class SdpProblem:
         for name in [s for c in self.constraints for s in c.scalar_coeffs] + list(self.objective_scalars):
             if name not in self.free_scalars:
                 raise KeyError(f"unknown scalar {name!r}")
-        used = {s for c in self.constraints for s, v in c.scalar_coeffs.items() if v != 0}
+        defining = {}
         for name in self.free_scalars:
-            if name not in used:
-                # its column of the Newton system would be empty: the step is unbounded
-                raise ValueError(f"free scalar {name!r} has no nonzero coefficient in any constraint")
-        constrained = {b for c in self.constraints for b in c.block_coeffs}
+            # solve substitutes each scalar through its one defining equality
+            rows = [i for i, c in enumerate(self.constraints) if c.scalar_coeffs.get(name, 0.0) != 0]
+            con = self.constraints[rows[0]] if len(rows) == 1 else None
+            if con is None or con.sense != "==" or sum(v != 0 for v in con.scalar_coeffs.values()) > 1:
+                raise ValueError(f"free scalar {name!r} needs a nonzero coefficient in exactly one '==' "
+                                 "constraint, with no other scalar in that constraint")
+            defining[name] = rows[0]
+        # a defining row leaves with its scalar, so it ties no block to the rest
+        constrained = {b for i, c in enumerate(self.constraints) if i not in defining.values() for b in c.block_coeffs}
         for name in names:
             if name not in constrained:
                 # decoupled from the rest: min <C, X> over the cone alone is 0 or unbounded
                 raise ValueError(f"block {name!r} appears in no constraint")
+        return defining
 
 
 @dataclass
@@ -138,14 +147,23 @@ def elem_im(n: int, i: int, j: int) -> np.ndarray:
 
 
 def _build_cone_program(p: SdpProblem):
-    p.validate()
+    """The cone program with every free scalar substituted out, the defining
+    row of each scalar, and the rows kept: its row r is the caller's ``kept[r]``."""
+    defining = p.validate()
     block_names = [n for n, _ in p.blocks]
     block_index = {n: j for j, n in enumerate(block_names)}
+    kept = [i for i in range(len(p.constraints)) if i not in defining.values()]
+    cons = [p.constraints[i] for i in kept]
 
     c = [np.asarray(p.objective_blocks.get(name, np.zeros((dim, dim))), dtype=complex) for name, dim in p.blocks]
+    for s, i in defining.items():
+        # c_s s = (c_s / a) (b - <C, X>): the objective gains -(c_s / a) C and a constant
+        ratio = p.objective_scalars.get(s, 0.0) / p.constraints[i].scalar_coeffs[s]
+        for bname, mat in p.constraints[i].block_coeffs.items():
+            c[block_index[bname]] = c[block_index[bname]] - ratio * np.asarray(mat)
     rows_per_block = [[] for _ in p.blocks]
     coeff_per_block = [[] for _ in p.blocks]
-    for i, con in enumerate(p.constraints):
+    for i, con in enumerate(cons):
         for bname, mat in con.block_coeffs.items():
             j = block_index[bname]
             rows_per_block[j].append(i)
@@ -154,22 +172,11 @@ def _build_cone_program(p: SdpProblem):
     a_rows = [np.array(rows, dtype=int) for rows in rows_per_block]
     a_coeff = [np.array(coeff) for coeff in coeff_per_block]
     # a slack s >= 0 turns row i into an equality: a_i x - s = b_i for '>=', + s for '<='
-    slack_rows = np.array([i for i, con in enumerate(p.constraints) if con.sense != "=="], dtype=int)
-    slack_coef = np.array([-1.0 if p.constraints[i].sense == ">=" else 1.0 for i in slack_rows])
-
-    scalar_index = {s: j for j, s in enumerate(p.free_scalars)}
-    c_free = np.zeros(len(p.free_scalars))
-    for s, v in p.objective_scalars.items():
-        c_free[scalar_index[s]] = v
-    a_free = np.zeros((len(p.constraints), len(p.free_scalars)))
-    for i, con in enumerate(p.constraints):
-        for s, v in con.scalar_coeffs.items():
-            a_free[i, scalar_index[s]] = v
-
-    b = np.array([con.rhs for con in p.constraints], dtype=float)
-    prog = _ipm.ConeProgram(c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, c_free=c_free, a_free=a_free,
-                            slack_rows=slack_rows, slack_coef=slack_coef)
-    return prog, block_names
+    slack_rows = np.array([i for i, con in enumerate(cons) if con.sense != "=="], dtype=int)
+    slack_coef = np.array([-1.0 if cons[i].sense == ">=" else 1.0 for i in slack_rows])
+    b = np.array([con.rhs for con in cons], dtype=float)
+    prog = _ipm.ConeProgram(c=c, a_rows=a_rows, a_coeff=a_coeff, b=b, slack_rows=slack_rows, slack_coef=slack_coef)
+    return prog, block_names, defining, kept
 
 
 def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
@@ -183,25 +190,54 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     So the reported relative gap can exceed ``opts.tol``, and residuals
     recomputed from the original data (:func:`check_certificate`) can
     exceed it too.  ``termination`` names the exit the method took.
+
+    A free scalar s must have a nonzero coefficient a in exactly one ``==``
+    row, a s + <C, X> = b, and no other scalar may be in that row.  The
+    method solves with s = (b - <C, X>) / a and without that row, so its
+    residuals, termination and ``history`` are those of that program.  s
+    is recovered from its row, whose multiplier is c_s / a (c_s the
+    objective coefficient of s); a dual ray has 0 there, and a primal ray
+    gets x_free = -<C, X_ray> / a.
     """
     opts = opts or SolveOptions()
-    prog, block_names = _build_cone_program(p)
+    prog, block_names, defining, kept = _build_cone_program(p)
     res = _ipm.solve_cone_program(
         prog, tol=opts.tol, max_iter=opts.max_iter, target_tol=opts.target_tol
     )
+    primal_blocks = dict(zip(block_names, res.x))
+
+    def full_rows(v):   # 0 in the defining rows
+        out = np.zeros(len(p.constraints))
+        out[kept] = v
+        return out
+
+    def defined(s, blocks, rhs):
+        con = p.constraints[defining[s]]
+        return (rhs - constraint_value(con, blocks, dict.fromkeys(con.scalar_coeffs, 0.0))) / con.scalar_coeffs[s]
+
+    y = full_rows(res.y)
+    for s, i in defining.items():
+        y[i] = p.objective_scalars.get(s, 0.0) / p.constraints[i].scalar_coeffs[s]
+    constant = sum(y[i] * p.constraints[i].rhs for i in defining.values())
+    certificate = res.certificate
+    if certificate is not None and "y" in certificate:
+        certificate["y"] = full_rows(certificate["y"])
+    elif certificate is not None:
+        ray = dict(zip(block_names, certificate["x"]))
+        certificate["x_free"] = np.array([defined(s, ray, 0.0) for s in p.free_scalars])
     return SdpSolution(
         status=res.status,
-        primal_blocks=dict(zip(block_names, res.x)),
-        scalars={s: float(v) for s, v in zip(p.free_scalars, res.x_free)},
-        dual_multipliers=res.y,
+        primal_blocks=primal_blocks,
+        scalars={s: defined(s, primal_blocks, p.constraints[i].rhs) for s, i in defining.items()},
+        dual_multipliers=y,
         dual_blocks=dict(zip(block_names, res.z)),
-        pobj=res.pobj,
-        dobj=res.dobj,
+        pobj=res.pobj + constant,
+        dobj=res.dobj + constant,
         residuals={"primal": res.res_primal, "dual": res.res_dual, "gap": res.gap_rel},
         iterations=res.iterations,
         termination=res.termination,
         history=res.history,
-        certificate=res.certificate,
+        certificate=certificate,
     )
 
 

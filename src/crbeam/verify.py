@@ -189,8 +189,8 @@ def check_kkt_point(solution: DesignSolution, duals: Optional[dict], scenario: S
     # constraint slacks and multiplier complementarity: each product mu * slack
     # is one term of the duality gap, so it is measured against the objective
     # scale (its natural unit); the sum of these products IS the gap
-    t_star = solution.diagnostics.get("t_star", 0.0)
-    obj_scale = 1.0 + abs(t_star)
+    t_star = solution.diagnostics.get("t_star")
+    obj_scale = 1.0 + abs(t_star or 0.0)
     gains = np.array(
         [float(np.real(np.trace(q_list[i] @ w_blocks[i]))) for i in range(k)]
     )
@@ -209,7 +209,6 @@ def check_kkt_point(solution: DesignSolution, duals: Optional[dict], scenario: S
     report.dual_feasibility["Z_P"] = min_eig(z_p) / max(1.0, float(np.linalg.norm(z_p)))
     r_x = hermitize(sum(w_blocks))
     t_aa, t_da, t_dd = point_traces(r_x, target.theta, scenario.geometry)
-    t_star = solution.diagnostics.get("t_star")
     if t_star is not None:
         p_mat = np.array([[t_dd - t_star, t_da], [np.conj(t_da), t_aa]])
         report.complementarity_residuals["tr_Zp_P"] = abs(

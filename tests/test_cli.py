@@ -169,6 +169,10 @@ class TestCliMain:
         ["design", "--mode", "point", "--format", "json"],
         ["evaluate", "--beampattern", "--solution", "sol.json"],
         ["evaluate", "--trials", "10", "--solution", "sol.json"],
+        ["evaluate", "--k", "3", "--solution", "sol.json"],
+        ["evaluate", "--sinr-db", "30", "--solution", "sol.json"],
+        ["verify", "--schur", "--k", "3"],
+        ["verify", "--schur", "--sinr-db", "40"],
     ])
     def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

@@ -15,6 +15,8 @@ from crbeam.errors import Infeasible, RankExcess, ResidualNotPSD, ZeroUsefulPowe
 from crbeam.experiments import draw_channels
 from crbeam.metrics import Scenario, achieved_sinrs, crb_point_theta
 from crbeam.numerics import herm_eig
+from crbeam.sdp import SolveOptions, check_certificate
+from crbeam.verify import check_kkt_point
 
 from conftest import complex_gaussian, make_scenario
 
@@ -255,6 +257,23 @@ class TestPointMulti:
         assert duals["phi"] == pytest.approx(1.0, abs=1e-6)
         assert np.all(duals["mu"] >= 0)
         assert duals["mu_T"] >= 0
+
+    @pytest.mark.parametrize("seed, n_users, gamma_db", [
+        (1, 4, 30.0), ([7, 4], 12, 0.0), (3, 3, 16.5), (3, 3, 18.0), (3, 3, 19.5), (5, 3, 25.5),
+    ])
+    def test_hard_inputs_design_within_tol(self, seed, n_users, gamma_db):
+        # inputs that once ended above tol, in RankExcess or in schur_failure;
+        # the twelve-user draw keeps its first four users
+        channels = draw_channels(n_users, 16, np.random.default_rng(seed))[:4]
+        k = channels.shape[0]
+        scen = Scenario(ArrayGeometry(16, 20), channels, [10 ** (gamma_db / 10)] * k,
+                        1000.0, 1.0, 1.0, 30, PointTarget(0.0))
+        sol = design_point_multi(scen)
+        rep = check_certificate(build_point_sdp(scen), sol.diagnostics["sdp"])
+        assert max(rep["primal"], rep["gap"]) <= SolveOptions().tol
+        assert check_kkt_point(sol, None, scen).max_residual() <= 1e-6
+        # t's defining row has a = 1 and t's objective coefficient is -1
+        assert sol.diagnostics["duals"]["phi"] == 1.0
 
 
 class TestExtractRankOne:

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crbeam import _ipm
 from crbeam.designs import build_extended_sdp, build_point_sdp, design_extended_multi, design_point_multi
 from crbeam.errors import DimensionMismatch
 from crbeam.sdp import (
+    LinearConstraint,
     SdpProblem,
     SolveOptions,
     check_certificate,
@@ -116,12 +117,15 @@ class TestEmbedding:
 
     @settings(max_examples=60, deadline=None)
     @given(hermitian_pairs())
+    @example((np.array([[1e-13 + 0j]]), np.array([[1.3210280816684136e-304 + 0j]])))   # product below the normal range
     def test_inner_product(self, pair):
         # the coefficient convention of solve_cone_program: <_embed(C) / 2, _embed(X)> = Re tr(C X)
         c, x = pair
         got = float(np.sum(_ipm._embed(c) / 2 * _ipm._embed(x)))
         want = float(np.real(np.trace(c @ x)))
-        assert abs(got - want) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(x)
+        # a product below the normal range rounds to an absolute multiple of the smallest subnormal
+        floor = np.finfo(float).tiny
+        assert abs(got - want) <= max(1e-12 * np.linalg.norm(c) * np.linalg.norm(x), floor)
 
     def test_elementary_coefficients(self, rng):
         x = random_hermitian(rng, 4)
@@ -198,12 +202,14 @@ class TestSolve:
         assert ray.shape == (1, 1) and np.iscomplexobj(ray)
 
     def test_unbounded_ray_in_callers_variables(self):
-        # min -X - t s.t. X - 0.1 t = 0; the solver scales t's column, the ray must not be
+        # min -X - t s.t. X - 0.1 t = 0 and X >= 1: the solver substitutes t = 10 X,
+        # and the ray must still be reported in X and t
         p = SdpProblem()
         p.add_block("X", 1)
         p.add_free_scalar("t")
         p.set_objective({"X": -np.eye(1, dtype=complex)}, {"t": -1.0})
         p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": -0.1}, "==", 0.0)
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, sense=">=", rhs=1.0)
         sol = solve(p)
         assert sol.status == "Unbounded"
         (x,), (t,) = sol.certificate["x"], sol.certificate["x_free"]
@@ -265,6 +271,24 @@ class TestSolve:
         with pytest.raises(ValueError, match="'s'"):
             p.validate()
 
+    @pytest.mark.parametrize("rows, culprit", [
+        ([({"t": 1.0}, "==", 1.0), ({"t": 2.0}, "==", 2.0), ({}, ">=", 0.0)], "'t'"),   # t in two rows
+        ([({"t": 1.0}, ">=", 1.0), ({}, "==", 1.0)], "'t'"),                            # t in a '>=' row
+        ([({"t": 1.0, "s": 1.0}, "==", 1.0), ({}, "==", 1.0)], "'t'"),                  # two scalars in one row
+        ([({"t": 1.0}, "==", 1.0)], "'X'"),                                             # X only in t's row
+    ])
+    def test_free_scalar_without_one_defining_row_rejected(self, rows, culprit):
+        # solve substitutes each free scalar through its one '==' row, alone among the scalars there
+        p = SdpProblem()
+        p.add_block("X", 1)
+        for name in dict.fromkeys(s for scalars, _, _ in rows for s in scalars):
+            p.add_free_scalar(name)
+        p.set_objective({"X": np.eye(1, dtype=complex)}, {"t": 1.0})
+        for scalars, sense, rhs in rows:
+            p.add_constraint({"X": np.eye(1, dtype=complex)}, scalars, sense, rhs)
+        with pytest.raises(ValueError, match=culprit):
+            solve(p)
+
     def test_block_in_no_constraint_rejected(self):
         # Y enters the objective only: min tr Y over Y >= 0 is decoupled from every row
         p = scalar_lower_bound_problem()
@@ -276,40 +300,82 @@ class TestSolve:
 
 class TestFreeColumns:
     def test_two_free_scalars_in_three_rows(self):
-        # min tr X + s - t over X = diag(x1, x2) >= 0 with x1 - s = 0,
-        # x2 + t + s/2 >= 2 and tr X + 3t <= 4: optimum 0 at s = 0, t = 1, X = diag(0, 1)
+        # min tr X + s - t/2 over X = diag(x1, x2) >= 0 with x1 - s = 0, tr X - t = 0
+        # and x2 + s/2 >= 2, written with s substituted as x2 + x1/2 >= 2 (a scalar
+        # sits in its defining row only): optimum 1 at s = 0, t = 2, X = diag(0, 2)
         p = SdpProblem()
         p.add_block("X", 2)
         p.add_free_scalar("s")
         p.add_free_scalar("t")
         eye = np.eye(2, dtype=complex)
-        p.set_objective({"X": eye}, {"s": 1.0, "t": -1.0})
+        p.set_objective({"X": eye}, {"s": 1.0, "t": -0.5})
         p.add_constraint({"X": elem_re(2, 0, 0)}, {"s": -1.0}, "==", 0.0)
-        p.add_constraint({"X": elem_re(2, 1, 1)}, {"t": 1.0, "s": 0.5}, ">=", 2.0)
-        p.add_constraint({"X": eye}, {"t": 3.0}, "<=", 4.0)
+        p.add_constraint({"X": eye}, {"t": -1.0}, "==", 0.0)
+        p.add_constraint({"X": elem_re(2, 1, 1) + 0.5 * elem_re(2, 0, 0)}, sense=">=", rhs=2.0)
         sol = solve(p)
         assert sol.status == "Optimal"
-        assert sol.pobj == pytest.approx(0.0, abs=1e-7)
+        assert sol.pobj == pytest.approx(1.0, abs=1e-7)
         assert sol.scalars["s"] == pytest.approx(0.0, abs=1e-7)
-        assert sol.scalars["t"] == pytest.approx(1.0, abs=1e-7)
-        assert np.allclose(sol.primal_blocks["X"], np.diag([0.0, 1.0]), atol=1e-7)
+        assert sol.scalars["t"] == pytest.approx(2.0, abs=1e-7)
+        assert np.allclose(sol.primal_blocks["X"], np.diag([0.0, 2.0]), atol=1e-7)
+        # each defining row's multiplier is c_s / a
+        assert sol.dual_multipliers[:2].tolist() == [-1.0, 0.5]
         rep = check_certificate(p, sol)
         assert max(rep["primal"], rep["dual"], rep["gap"]) <= SolveOptions().tol
 
     def test_infeasible_with_free_scalar(self):
-        # x + t = 1 and x + t = 2: the ray y ~ (-1, 1) has b.y > 0 and annihilates t's column
+        # x + t = 1 defines t, and x = 1, x = 2 clash: the ray y ~ (0, -1, 1) has
+        # b.y > 0 and annihilates t's column
         p = SdpProblem()
         p.add_block("X", 1)
         p.add_free_scalar("t")
         p.set_objective({"X": np.eye(1, dtype=complex)})
         p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": 1.0}, "==", 1.0)
-        p.add_constraint({"X": np.eye(1, dtype=complex)}, {"t": 1.0}, "==", 2.0)
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, sense="==", rhs=1.0)
+        p.add_constraint({"X": np.eye(1, dtype=complex)}, sense="==", rhs=2.0)
         sol = solve(p)
         assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
         y = sol.certificate["y"]
-        assert y @ np.array([1.0, 2.0]) > 0
-        assert y[0] + y[1] == 0.0   # the free column sums exactly
-        assert y[1] > 0
+        assert y @ np.array([1.0, 1.0, 2.0]) > 0
+        assert y[0] == 0.0   # the free column sums exactly
+        assert y[2] > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.sampled_from(["==", ">=", "<="]), min_size=1, max_size=3),
+           st.floats(0.1, 10.0), st.booleans(), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
+    def test_substitution_on_random_programs(self, n, senses, a_abs, a_neg, c_s, seed):
+        # a feasible, bounded program: X0 > 0 is strictly feasible, and the objective
+        # of the substituted program is sum y_i A_i + Z0 with Z0 > 0 and y_i signed
+        # as its row; the defining row a s + <D, X> = b sits at a random position
+        rng = np.random.default_rng(seed)
+        a = -a_abs if a_neg else a_abs
+        x0, z0 = random_pd(rng, n) / n, random_pd(rng, n) / n
+        rows = [random_hermitian(rng, n) for _ in senses]
+        y0 = rng.random(len(senses)) * np.array([{"==": rng.standard_normal(), ">=": 1.0, "<=": -1.0}[s]
+                                                 for s in senses])
+        d = random_hermitian(rng, n)
+        obj = sum(yi * ai for yi, ai in zip(y0, rows)) + z0 + (c_s / a) * d
+        p = SdpProblem()
+        p.add_block("X", n)
+        p.add_free_scalar("s")
+        p.set_objective({"X": obj}, {"s": c_s})
+        margin = {"==": 0.0, ">=": -0.1, "<=": 0.1}
+        for ai, sense in zip(rows, senses):
+            p.add_constraint({"X": ai}, sense=sense, rhs=np.trace(ai @ x0).real + margin[sense])
+        at = int(rng.integers(len(senses) + 1))
+        b_def = a * rng.standard_normal() + np.trace(d @ x0).real
+        p.constraints.insert(at, LinearConstraint({"X": d}, {"s": a}, "==", b_def))
+        sol = solve(p)
+        assert sol.status == "Optimal"
+        rep = check_certificate(p, sol)
+        assert max(rep["primal"], rep["dual"], rep["gap"]) <= SolveOptions().tol
+        dx = np.trace(d @ sol.primal_blocks["X"]).real
+        assert abs(a * sol.scalars["s"] + dx - b_def) <= 1e-9 * max(1.0, abs(b_def), abs(dx))
+        # the defining row's multiplier is c_s / a, so c_s - y a is 0 up to the roundings
+        # of the quotient (absolute when it is subnormal) and of the product
+        y_def = sol.dual_multipliers[at]
+        assert y_def == c_s / a
+        assert abs(c_s - y_def * a) <= np.spacing(abs(c_s)) + abs(a) * np.finfo(float).smallest_subnormal
 
 
 def scattered_slack_problem(sense0=">=", rhs3=2.5):
@@ -493,8 +559,7 @@ def schur_program(rng):
         w.append(random_pd(rng, dim))
     slack_rows = np.array([0, 8, 16, 33, 38])
     prog = _ipm.ConeProgram(c=[None] * len(rows), a_rows=rows, a_coeff=coeff,
-                            b=np.zeros(n_rows), c_free=np.zeros(0), a_free=np.zeros((n_rows, 0)),
-                            slack_rows=slack_rows, slack_coef=rng.standard_normal(slack_rows.size))
+                            b=np.zeros(n_rows), slack_rows=slack_rows, slack_coef=rng.standard_normal(slack_rows.size))
     ops = [_ipm._BlockA(r, c) for r, c in zip(rows, coeff)]
     return prog, ops, SimpleNamespace(w=w, w_slack=rng.random(slack_rows.size) + 0.1)
 
