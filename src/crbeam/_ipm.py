@@ -22,6 +22,10 @@ iteration keeps the iterates on the embedding's structured subspace,
 which plays the role of explicit skew-symmetry equality constraints
 without enlarging the Newton system.
 
+Each iterate is evaluated once, by one residual pass that the status
+test, the best-iterate record, the ray checks, the Newton right-hand
+sides and the report all read.
+
 Constraint coefficient matrices are mostly elementary (a few nonzero
 entries coupling block entries).  Each block keeps every coefficient row in
 one of two forms, padded nonzero slots for the elementary rows and a dense
@@ -51,12 +55,13 @@ TERMINATIONS = (
     "schur_failure",        # NT scaling or Schur factorization raised LinAlgError
     "nonfinite_direction",  # Newton direction not finite
     "step_stall",           # step lengths below 1e-8 three iterations running
-    "max_iter",             # iteration limit reached
+    "max_iter",             # MAX_ITER iterations reached
 )
 
 _DENSE_ROW_NNZ = 16  # rows with more nonzeros than this use dense matmuls
 STEP_FRAC = 0.99     # fraction of the distance to the cone boundary each step takes
 INFEAS_TOL = 1e-6    # least objective improvement rate of an infeasibility ray
+MAX_ITER = 120       # iteration limit of solve_cone_program, read at each call
 
 
 @dataclass
@@ -304,13 +309,18 @@ class _SchurSolver:
         return dy + sla.cho_solve(self.chol, rhs - self.m @ dy)
 
 
-def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_tol: float) -> IpmResult:
+def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> IpmResult:
     """Run the predictor-corrector NT interior-point method.
 
     ``tol`` is the acceptance threshold for status Optimal; the iteration
     keeps polishing towards ``target_tol`` while it makes progress, so
     reported residuals are typically well below ``tol``.  The result's
     ``termination`` names the exit taken (see ``TERMINATIONS``).
+
+    Each iterate is evaluated once, at the top of its iteration, into a
+    record.  A ray exit reports the current record; every other exit the one
+    of least max(res_p, res_d, min(gap, mu_rel)), as Optimal when its
+    max(res_p, res_d, gap) is at most ``tol``.
     """
     sizes = [coeff.shape[-1] for coeff in prog.a_coeff]    # block j is embedded at 2 * sizes[j]
     nu = 2 * sum(sizes) + prog.slack_rows.shape[0]
@@ -351,7 +361,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
     y = np.zeros(m_rows)
 
     history: List[dict] = []
-    best = None
+    best = None      # (metric, record) of the best iterate evaluated
     stall = 0
 
     # sums take the blocks first, then the slacks; another order rounds differently
@@ -367,28 +377,23 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s)))
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, rd, rd_s, pobj, dobj, res_p, res_d, gap
+        return rp, aty, rd, rd_s, pobj, dobj, res_p, res_d, gap
 
-    def record_best(metric, x, xs, y, z, zs):
-        nonlocal best
-        if best is None or metric < best[0]:
-            best = (metric, [xb.copy() for xb in x], xs.copy(), y.copy(),
-                    [zb.copy() for zb in z], zs.copy())
-
-    def check_infeasible(yv):
-        """Dual improving ray: b^T y > 0 and -A^T y in the dual cone."""
-        ny = float(np.linalg.norm(yv))
+    def check_infeasible(y, aty):
+        """Dual improving ray: b^T y > 0 and -A^T y in the dual cone; ``aty`` is A^T y."""
+        ny = float(np.linalg.norm(y))
         if ny < 1e-12:
             return None
-        yn = yv / ny
+        yn = y / ny
         improvement = float(b_s @ yn)
         if improvement < INFEAS_TOL:
             return None
         viol = 0.0
         scale = 1.0
-        for aty in _apply_at(ops, yn):
-            scale = max(scale, float(np.linalg.norm(aty)))
-            viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(-aty))[0])))
+        for atb in aty:
+            atb = atb / ny
+            scale = max(scale, float(np.linalg.norm(atb)))
+            viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(-atb))[0])))
         zs_ray = -(scoef * yn[srows])
         scale = max(scale, float(np.max(np.abs(zs_ray), initial=0.0)))
         viol = max(viol, max(0.0, -float(np.min(zs_ray, initial=0.0))))
@@ -396,24 +401,26 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             return {"kind": "dual_ray", "y": yn, "improvement": improvement, "cone_violation": viol}
         return None
 
-    def check_unbounded(xv, xsv):
-        nx = float(np.sqrt(sum(np.sum(b * b) for b in xv + [xsv])))
+    def check_unbounded(x, xs, pobj, rp):
+        """Primal improving ray: <c, x> < 0 and A x = 0, read as <c, x> = pobj and A x = b - rp."""
+        nx = float(np.sqrt(sum(np.sum(b * b) for b in x + [xs])))
         if nx < 1e-12:
             return None
-        xr, xsr = [b / nx for b in xv], xsv / nx
-        rate = _inner(c_s, xr)
+        rate = pobj / nx
         if rate > -INFEAS_TOL:
             return None
-        if float(np.linalg.norm(_apply_a(ops, prog, xr, xsr))) <= 1e-9:
-            return {"kind": "primal_ray", "x": [_unembed(b) for b in xr], "objective_rate": rate}
+        # b - rp carries a cancellation of order eps |b|, far below the test once divided by |x|
+        if float(np.linalg.norm(b_s - rp)) / nx <= 1e-9:
+            return {"kind": "primal_ray", "x": [_unembed(b / nx) for b in x], "objective_rate": rate}
         return None
 
     status, termination = "MaxIter", "max_iter"
     certificate = None
-    it = 0
     no_progress = 0
-    for it in range(1, max_iter + 1):
-        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
+    for it in range(1, MAX_ITER + 1):
+        rp, aty, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
+        # steps rebind the iterate's arrays and never write into them: shallow lists keep it
+        record = (list(x), y, list(z), pobj, dobj, res_p, res_d, gap)
         mu = (_inner(x, z) + float(np.sum(xs * zs))) / nu
         # at large objective magnitudes gap_rel bottoms out on cancellation noise;
         # mu is then the sharper complementarity measure
@@ -423,7 +430,8 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             no_progress += 1
         else:
             no_progress = 0
-        record_best(metric, x, xs, y, z, zs)
+        if best is None or metric < best[0]:
+            best = (metric, record)
         history.append(
             {
                 "iter": it - 1,
@@ -444,12 +452,12 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
 
         # divergence-based certificates
         if res_p > 1e3 * tol and it > 5:
-            cert = check_infeasible(y)
+            cert = check_infeasible(y, aty)
             if cert is not None:
                 status, termination, certificate = "Infeasible", "dual_ray", cert
                 break
         if it > 5:
-            cert = check_unbounded(x, xs)
+            cert = check_unbounded(x, xs, pobj, rp)
             if cert is not None:
                 status, termination, certificate = "Unbounded", "primal_ray", cert
                 break
@@ -460,12 +468,12 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         except np.linalg.LinAlgError:
             termination = "schur_failure"
             break
+        hrd = [nt.apply(j, rd[j]) for j in range(len(ops))]   # W r_d W, read by both Newton solves
 
         def newton(rc_blocks, rc_slack):
             rhs = rp.copy()
             for j, op in enumerate(ops):
-                hv = nt.apply(j, rd[j])
-                rhs[op.rows] -= op.apply(rc_blocks[j] - hv)
+                rhs[op.rows] -= op.apply(rc_blocks[j] - hrd[j])
             rhs[srows] -= scoef * (rc_slack - nt.w_slack * rd_s)
             dy = solver.solve(rhs)
             aty = _apply_at(ops, dy)
@@ -482,18 +490,14 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
                 ad = min(ad, _max_step_psd(nt.lz[j], dz[j]))
             ap = min(ap, _max_step_nonneg(xs, dxs))
             ad = min(ad, _max_step_nonneg(zs, dzs))
-            return ap, ad
+            return min(1.0, STEP_FRAC * ap), min(1.0, STEP_FRAC * ad)
 
         # predictor (affine) step
         dx_a, dxs_a, _, dz_a, dzs_a = newton([-xb for xb in x], -xs)
         ap_a, ad_a = max_steps(dx_a, dxs_a, dz_a, dzs_a)
-        ap_a, ad_a = min(1.0, STEP_FRAC * ap_a), min(1.0, STEP_FRAC * ad_a)
-        gap_now = mu * nu
-        gap_aff = 0.0
-        for j in range(len(ops)):
-            gap_aff += float(np.sum((x[j] + ap_a * dx_a[j]) * (z[j] + ad_a * dz_a[j])))
+        gap_aff = _inner([xb + ap_a * d for xb, d in zip(x, dx_a)], [zb + ad_a * d for zb, d in zip(z, dz_a)])
         gap_aff += float(np.sum((xs + ap_a * dxs_a) * (zs + ad_a * dzs_a)))
-        sigma = min(0.99, max(1e-10, (max(gap_aff, 0.0) / gap_now) ** 3))
+        sigma = min(0.99, max(1e-10, (max(gap_aff, 0.0) / (mu * nu)) ** 3))
 
         # corrector: scaled-space Mehrotra second-order term
         rc = []
@@ -511,7 +515,6 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
             termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dxs, dz, dzs)
-        ap, ad = min(1.0, STEP_FRAC * ap), min(1.0, STEP_FRAC * ad)
         if min(ap, ad) < 1e-8:
             stall += 1
             if stall >= 3:
@@ -528,16 +531,10 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, max_iter: int, target_t
         zs = zs + ad * dzs
         y = y + ad * dy
 
-    if status in ("MaxIter", "Optimal") and best is not None:
-        # report the best iterate seen (current one, unless we stalled past it)
-        _, bx, bxs, by, bz, bzs = best
-        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(bx, bxs, by, bz, bzs)
-        metric = max(res_p, res_d, gap)
-        if status != "Optimal" and metric <= tol:
-            status = "Optimal"
-        x, y, z = bx, by, bz
-    else:
-        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
+    # a ray is a property of the current iterate; every other exit reports the best one
+    x, y, z, pobj, dobj, res_p, res_d, gap = record if certificate is not None else best[1]
+    if status == "MaxIter" and max(res_p, res_d, gap) <= tol:
+        status = "Optimal"
 
     # undo data scaling (row equilibration folds into the multipliers)
     y_out = y * norm_c / row_scale

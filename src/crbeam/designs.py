@@ -249,7 +249,7 @@ def _point_duals(y: np.ndarray, k: int) -> dict:
     }
 
 
-def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) -> DesignSolution:
+def design_point_multi(scenario: Scenario) -> DesignSolution:
     """Multi-user point-target design via SDR and rank-one recovery.
 
     The relaxation is tight with rank-one blocks, so beamformers come from
@@ -260,7 +260,7 @@ def design_point_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) 
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
-    sol = solve(problem, opts)
+    sol = solve(problem)
     _check_status(sol, "point")
 
     k = scenario.n_users

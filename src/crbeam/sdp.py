@@ -110,7 +110,6 @@ class SdpProblem:
 @dataclass
 class SolveOptions:
     tol: float = 1e-7
-    max_iter: int = 120
     target_tol: float = 1e-10
 
 
@@ -201,9 +200,7 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     """
     opts = opts or SolveOptions()
     prog, block_names, defining, kept = _build_cone_program(p)
-    res = _ipm.solve_cone_program(
-        prog, tol=opts.tol, max_iter=opts.max_iter, target_tol=opts.target_tol
-    )
+    res = _ipm.solve_cone_program(prog, tol=opts.tol, target_tol=opts.target_tol)
     primal_blocks = dict(zip(block_names, res.x))
 
     def full_rows(v):   # 0 in the defining rows

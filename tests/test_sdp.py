@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from crbeam.sdp import (
     solve,
 )
 
-from conftest import complex_gaussian, make_scenario, random_hermitian
+from conftest import complex_gaussian, make_scenario, random_hermitian, random_psd
 
 
 def scalar_lower_bound_problem():
@@ -98,6 +99,12 @@ def hermitian_pairs(draw):
         return m + m.conj().T + np.diag(np.diag(re))
 
     return one(), one()
+
+
+def assert_reports_a_history_record(sol):
+    """The reported objectives and residuals are, bit for bit, those of one iterate the solver evaluated."""
+    reported = (sol.pobj, sol.dobj, sol.residuals["primal"], sol.residuals["dual"], sol.residuals["gap"])
+    assert reported in [(h["pobj"], h["dobj"], h["res_primal"], h["res_dual"], h["gap_rel"]) for h in sol.history]
 
 
 class TestEmbedding:
@@ -232,12 +239,12 @@ class TestSolve:
                     assert m.shape == (dim, dim) and np.iscomplexobj(m)
                     assert np.array_equal(m, m.conj().T)
 
-    def test_max_iter_reports_residuals(self):
-        from crbeam.sdp import SolveOptions
-
-        sol = solve(single_user_trace_inverse_problem(), SolveOptions(max_iter=3, tol=1e-12, target_tol=1e-14))
+    def test_max_iter_reports_residuals(self, monkeypatch):
+        monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+        sol = solve(single_user_trace_inverse_problem(), SolveOptions(tol=1e-12, target_tol=1e-14))
         assert sol.status == "MaxIter"
         assert all(np.isfinite(v) for v in sol.residuals.values())
+        assert_reports_a_history_record(sol)
 
     def test_dimension_mismatch(self):
         p = SdpProblem()
@@ -391,6 +398,22 @@ def scattered_slack_problem(sense0=">=", rhs3=2.5):
     return p
 
 
+def assert_dual_ray(p, sol, rel_tol=1e-9):
+    """``sol`` is Infeasible with a Farkas ray y of the one-block program ``p``, checked on
+    the caller's data: y_i signed by row i's sense, b^T y > 0 and -sum y_i C_i PSD, each
+    within ``rel_tol`` |y|."""
+    assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
+    y = sol.certificate["y"]
+    coeffs = [con.block_coeffs["X"] for con in p.constraints]
+    tol = rel_tol * np.linalg.norm(y)
+    senses = [con.sense for con in p.constraints]
+    assert all(yi >= -tol for yi, sense in zip(y, senses) if sense == ">=")
+    assert all(yi <= tol for yi, sense in zip(y, senses) if sense == "<=")
+    z_ray = -sum(yi * c for yi, c in zip(y, coeffs))
+    assert np.linalg.eigvalsh(z_ray)[0] >= -tol
+    assert y @ np.array([con.rhs for con in p.constraints]) > 0
+
+
 class TestSlacks:
     def test_scattered_slack_rows_optimal(self):
         # optimum X = diag(2.5, 0): rows 0 and 2 slack, row 3 binding
@@ -405,16 +428,28 @@ class TestSlacks:
     def test_scattered_slack_rows_infeasible_ray(self):
         # X11 <= 1 and X22 <= 3 cap tr X at 4 < 5
         p = scattered_slack_problem(sense0="<=", rhs3=5.0)
-        sol = solve(p)
-        assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
-        y = sol.certificate["y"]
-        tol = 1e-9 * np.linalg.norm(y)
-        senses = [con.sense for con in p.constraints]
-        assert all(yi >= -tol for yi, sense in zip(y, senses) if sense == ">=")
-        assert all(yi <= tol for yi, sense in zip(y, senses) if sense == "<=")
-        z_ray = -sum(yi * con.block_coeffs["X"] for yi, con in zip(y, p.constraints))
-        assert np.linalg.eigvalsh(z_ray)[0] >= -tol
-        assert y @ np.array([con.rhs for con in p.constraints]) > 0
+        assert_dual_ray(p, solve(p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.1, 100.0), st.floats(1.1, 3.0), st.integers(0, 2),
+           st.integers(0, 2**32 - 1))
+    def test_random_infeasible_programs_give_rays(self, n, power, c, n_extra, seed):
+        # tr(QX) <= lambda_max(Q) tr X <= lambda_max(Q) P < c lambda_max(Q) P
+        rng = np.random.default_rng(seed)
+        q = random_psd(rng, n)
+        p = SdpProblem()
+        p.add_block("X", n)
+        p.set_objective({"X": random_hermitian(rng, n)})
+        p.add_constraint({"X": np.eye(n, dtype=complex)}, sense="<=", rhs=power)
+        p.add_constraint({"X": q}, sense=">=", rhs=c * np.linalg.eigvalsh(q)[-1] * power)
+        for _ in range(n_extra):
+            p.add_constraint({"X": random_hermitian(rng, n)}, sense=">=", rhs=0.1 * rng.standard_normal())
+        # the solver accepts a unit ray with cone violation up to 1e-9 sqrt(m) on its
+        # row-equilibrated data, twice that on complex blocks; rows are divided by at
+        # most max(1, max |C_i|), so in the caller's scale, with m <= 4 rows, the bound
+        # is below 1e-8 |y| max(1, max |C_i|)
+        coeff_norm = max(1.0, max(np.linalg.norm(con.block_coeffs["X"]) for con in p.constraints))
+        assert_dual_ray(p, solve(p), rel_tol=1e-8 * coeff_norm)
 
 
 class TestCertificate:
@@ -446,8 +481,10 @@ class TestCertificate:
 
 
 def test_solve_options_defaults():
-    opts = SolveOptions()
-    assert opts.tol == 1e-7
+    # the iteration limit is the module constant _ipm.MAX_ITER, not an option
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["tol", "target_tol"]
+    assert SolveOptions() == SolveOptions(tol=1e-7, target_tol=1e-10)
+    assert _ipm.MAX_ITER == 120
 
 
 # -- Schur assembly: bit-for-bit against the plain formula -----------------
@@ -655,10 +692,11 @@ class TestStepLength:
 
 
 class TestTermination:
-    def test_normal_exits_are_named(self):
+    def test_normal_exits_are_named(self, monkeypatch):
         sol = solve(scalar_lower_bound_problem())
         assert (sol.status, sol.termination) in (("Optimal", "target_tol"), ("Optimal", "no_progress"))
-        sol = solve(single_user_trace_inverse_problem(), SolveOptions(max_iter=3, tol=1e-12, target_tol=1e-14))
+        monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+        sol = solve(single_user_trace_inverse_problem(), SolveOptions(tol=1e-12, target_tol=1e-14))
         assert (sol.status, sol.termination) == ("MaxIter", "max_iter")
 
     def test_rays_are_named(self):
@@ -675,12 +713,20 @@ class TestTermination:
         assert solve(p).termination == "primal_ray"
 
     def test_schur_failure_is_named_and_status_unchanged(self, monkeypatch):
-        class Failing:
-            def __init__(self, *args):
-                raise np.linalg.LinAlgError("forced")
+        schur_solver = _ipm._SchurSolver
+        # the factorization fails in the first iteration, or from the sixth on
+        for first_failure in (1, 6):
+            built = []
 
-        monkeypatch.setattr(_ipm, "_SchurSolver", Failing)
-        sol = solve(single_user_trace_inverse_problem())
-        assert sol.termination == "schur_failure"
-        assert sol.status == "MaxIter"
-        assert sol.iterations == 1
+            def failing(m):
+                built.append(None)
+                if len(built) >= first_failure:
+                    raise np.linalg.LinAlgError("forced")
+                return schur_solver(m)
+
+            monkeypatch.setattr(_ipm, "_SchurSolver", failing)
+            sol = solve(single_user_trace_inverse_problem())
+            assert sol.termination == "schur_failure"
+            assert sol.status == "MaxIter"
+            assert sol.iterations == first_failure
+            assert_reports_a_history_record(sol)
