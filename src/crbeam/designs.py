@@ -23,9 +23,14 @@ from .errors import (
 )
 from .metrics import DesignSolution, Scenario, achieved_sinrs, crb_extended, crb_point_theta
 from .numerics import herm_eig, hermitize, psd_sqrt
-from .sdp import SdpProblem, SdpSolution, SolveOptions, elem_im, elem_re, solve
+from .sdp import SdpProblem, SdpSolution, SolveOptions, dual_ray_certificate, elem_im, elem_re, solve
 
 RANK_ONE_RATIO = 1e-6
+# the least-power pre-check of the multi-user designs (_check_least_power)
+LEAST_POWER_MARGIN = 1e-6    # certify only when the least power exceeds the budget by this fraction
+LEAST_POWER_MAX_ITER = 50
+LEAST_POWER_TOL = 1e-12      # Newton has converged when every |log(c_k lambda_k x_k)| is below this
+LEAST_POWER_STEP = 2.0       # largest change of any log lambda_k in one Newton step
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,62 @@ def _add_sinr_and_power_rows(p: SdpProblem, scenario: Scenario, names: Sequence[
     p.add_constraint({n: np.eye(n_t, dtype=complex) for n in names}, sense="<=", rhs=scenario.power_budget, name="power")
 
 
+def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
+    """Raise Infeasible with a Farkas ray of ``p`` when the least power that
+    meets every SINR target exceeds the budget.
+
+    That power is sigma^2 sum lambda_k at the uplink-downlink fixed point
+    c_k lambda_k x_k(lambda) = 1, where c_k = 1 + 1/gamma_k,
+    M(lambda) = I + sum_j lambda_j h_j h_j^H and x_k = h_k^H M^-1 h_k, solved
+    by Newton's method in log lambda.  At any lambda > 0 the matrices
+    M(lambda) - c_k lambda_k h_k h_k^H are affine in lambda and equal I at
+    lambda = 0, so with e their least eigenvalue, s lambda (s = 1/(1 - e)
+    when e < 0, else 1) is feasible for the dual of power minimisation.
+    Then y = s lambda_k / gamma_k on SINR row k, -1 on the power row and 0
+    elsewhere gives -sum y_i C_i = M(s lambda) - c_k s lambda_k h_k h_k^H on
+    W_k and M(s lambda) on WA, and b^T y = sigma^2 s sum lambda - P.  Returns
+    when Newton converges or breaks down before the bound is passed.
+    """
+    k = scenario.n_users
+    h = np.column_stack([scenario.user_channel(i) for i in range(k)])
+    gamma = scenario.sinr_thresholds
+    c = 1.0 + 1.0 / gamma
+    sigma2 = scenario.noise_comm
+    bound = scenario.power_budget * (1.0 + LEAST_POWER_MARGIN)
+    lam = 1.0 / (c * np.sum(np.abs(h) ** 2, axis=0))
+    for _ in range(LEAST_POWER_MAX_ITER):
+        m = np.eye(h.shape[0]) + (h * lam) @ h.conj().T
+        try:
+            g = h.conj().T @ np.linalg.solve(m, h)
+        except np.linalg.LinAlgError:
+            return
+        if sigma2 * lam.sum() > bound:    # s <= 1, so below the bound no s can pass it
+            e = float(np.linalg.eigvalsh(m - np.einsum("ik,jk,k->kij", h, h.conj(), c * lam))[:, 0].min())
+            s = 1.0 if e >= 0 else 1.0 / (1.0 - e)
+            if sigma2 * s * lam.sum() > bound:
+                # the last K + 1 rows, as _add_sinr_and_power_rows appends them
+                y = np.zeros(len(p.constraints))
+                y[-k - 1 : -1] = s * lam / gamma
+                y[-1] = -1.0
+                raise Infeasible(
+                    f"SINR targets need at least {sigma2 * s * lam.sum():.6g} mW, "
+                    f"budget is {scenario.power_budget:.6g}",
+                    certificate=dual_ray_certificate(p, y),
+                )
+        x = np.real(np.diag(g))
+        phi = np.log(c * lam * x)
+        if np.max(np.abs(phi)) <= LEAST_POWER_TOL:
+            return
+        jac = np.eye(k) - np.abs(g) ** 2 * lam / x[:, None]
+        try:
+            du = np.linalg.solve(jac, -phi)
+        except np.linalg.LinAlgError:
+            return
+        if not np.all(np.isfinite(du)):
+            return
+        lam = lam * np.exp(np.clip(du, -LEAST_POWER_STEP, LEAST_POWER_STEP))
+
+
 def _check_status(sol: SdpSolution, what: str) -> None:
     """Infeasible with its ray, or SolverFailure, unless the SDR solved."""
     if sol.status == "Infeasible":
@@ -257,9 +318,16 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
     exceeds ``RANK_ONE_RATIO``, ``RankExcess`` is raised with the relaxed
     solution attached: covariance sum W_k, its CRB as objective, the same
     diagnostics and no beamformers.
+
+    Before the SDR, a Newton solve of the power-minimisation fixed point
+    (``_check_least_power``) raises ``Infeasible`` with a Farkas ray of
+    the SDR when the SINR targets need more than the power budget.  When
+    it converges at or below the budget, or breaks down, the SDR is solved
+    as if it had not run, and its status decides.
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
+    _check_least_power(problem, scenario)
     sol = solve(problem)
     _check_status(sol, "point")
 
@@ -371,8 +439,15 @@ def extract_rank_one(
 
 
 def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) -> DesignSolution:
-    """Multi-user extended-target design: epigraph SDR plus rank-one extraction."""
+    """Multi-user extended-target design: epigraph SDR plus rank-one extraction.
+
+    The same least-power pre-check as ``design_point_multi`` runs first and
+    raises ``Infeasible`` with a Farkas ray of the epigraph SDR when the
+    SINR targets need more than the power budget; otherwise the SDR is
+    solved as if it had not run.
+    """
     problem = build_extended_sdp(scenario)
+    _check_least_power(problem, scenario)
     sol = solve(problem, opts or SolveOptions(target_tol=1e-9))
     _check_status(sol, "extended")
 

@@ -145,6 +145,23 @@ def elem_im(n: int, i: int, j: int) -> np.ndarray:
     return c
 
 
+def dual_ray_certificate(p: SdpProblem, y: np.ndarray) -> dict:
+    """The certificate of a dual ray y of ``p``, one multiplier per constraint,
+    measured on the caller's data: ``improvement`` is b^T y / |y| and
+    ``cone_violation`` the largest max(0, -lambda_min(-sum_i y_i C_i)) / |y|
+    over the blocks."""
+    y = np.asarray(y, dtype=float)
+    ny = float(np.linalg.norm(y))
+    b = np.array([con.rhs for con in p.constraints])
+    z = {name: np.zeros((dim, dim), dtype=complex) for name, dim in p.blocks}
+    for yi, con in zip(y, p.constraints):
+        if yi != 0.0:
+            for name, mat in con.block_coeffs.items():
+                z[name] -= yi * np.asarray(mat)
+    viol = max(max(0.0, -float(np.linalg.eigvalsh(zb)[0])) for zb in z.values())
+    return {"kind": "dual_ray", "y": y, "improvement": float(b @ y) / ny, "cone_violation": viol / ny}
+
+
 def _build_cone_program(p: SdpProblem):
     """The cone program with every free scalar substituted out, the defining
     row of each scalar, and the rows kept: its row r is the caller's ``kept[r]``."""
@@ -188,7 +205,9 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     max(1, max|b|) and max(1, max|C|).  mu_rel is the complementarity x.z relative to the objectives.
     So the reported relative gap can exceed ``opts.tol``, and residuals
     recomputed from the original data (:func:`check_certificate`) can
-    exceed it too.  ``termination`` names the exit the method took.
+    exceed it too.  ``termination`` names the exit the method took.  A
+    dual ray's certificate is measured on the caller's data
+    (:func:`dual_ray_certificate`).
 
     A free scalar s must have a nonzero coefficient a in exactly one ``==``
     row, a s + <C, X> = b, and no other scalar may be in that row.  The
@@ -218,7 +237,7 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     constant = sum(y[i] * p.constraints[i].rhs for i in defining.values())
     certificate = res.certificate
     if certificate is not None and "y" in certificate:
-        certificate["y"] = full_rows(certificate["y"])
+        certificate = dual_ray_certificate(p, full_rows(certificate["y"]))
     elif certificate is not None:
         ray = dict(zip(block_names, certificate["x"]))
         certificate["x_free"] = np.array([defined(s, ray, 0.0) for s in p.free_scalars])

@@ -42,6 +42,34 @@ def make_scenario(rng, k=4, n_tx=16, n_rx=20, gamma_db=15.0, p_t=1000.0, sigma_c
     )
 
 
+def assert_farkas_ray(problem, certificate, rel_tol=1e-9):
+    """``certificate`` holds a Farkas ray y of ``problem``, checked on its data alone: y_i
+    signed by row i's sense, b^T y > 0, -sum y_i C_i PSD on every block and
+    sum y_i a_i = 0 on every free scalar, each within ``rel_tol`` |y|; its improvement and
+    cone violation are those of y on that data."""
+    cons = problem.constraints
+    y = np.asarray(certificate["y"], dtype=float)
+    assert y.shape == (len(cons),) and np.all(np.isfinite(y))
+    norm_y = np.linalg.norm(y)
+    tol = rel_tol * norm_y
+    assert all(yi >= -tol for yi, con in zip(y, cons) if con.sense == ">=")
+    assert all(yi <= tol for yi, con in zip(y, cons) if con.sense == "<=")
+    for name in problem.free_scalars:
+        assert abs(sum(yi * con.scalar_coeffs.get(name, 0.0) for yi, con in zip(y, cons))) <= tol
+    lam_min = np.inf
+    for name, dim in problem.blocks:
+        z = np.zeros((dim, dim), dtype=complex)
+        for yi, con in zip(y, cons):
+            if name in con.block_coeffs:
+                z -= yi * con.block_coeffs[name]
+        lam_min = min(lam_min, np.linalg.eigvalsh(z)[0])
+    assert lam_min >= -tol
+    b_y = y @ np.array([con.rhs for con in cons])
+    assert b_y > 0
+    assert certificate["improvement"] == pytest.approx(b_y / norm_y, rel=1e-12)
+    assert certificate["cone_violation"] == pytest.approx(max(0.0, -lam_min) / norm_y, rel=1e-9, abs=1e-300)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

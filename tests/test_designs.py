@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crbeam import designs
 from crbeam.arrays import ArrayGeometry, PointTarget, steering
@@ -19,7 +23,7 @@ from crbeam.numerics import herm_eig
 from crbeam.sdp import SolveOptions, check_certificate
 from crbeam.verify import check_kkt_point
 
-from conftest import complex_gaussian, make_scenario
+from conftest import assert_farkas_ray, complex_gaussian, make_scenario
 
 
 def span_grid_oracle(h1, a, gamma, p_t, sigma_c2, n_rho=400, n_phi=360):
@@ -38,6 +42,29 @@ def span_grid_oracle(h1, a, gamma, p_t, sigma_c2, n_rho=400, n_phi=360):
             val = abs(amp1 + np.exp(1j * phi) * amp2) ** 2
             best = max(best, val)
     return best
+
+
+def least_power(channels, gamma, sigma2, max_iter=100_000):
+    """sigma^2 sum lambda_k at the fixed point lambda_k = 1 / ((1 + 1/gamma_k) h_k^H M^-1 h_k),
+    M = I + sum_j lambda_j h_j h_j^H, by the plain iteration from 0, which rises
+    monotonically; it stops once the geometric tail of its steps is below 1e-9
+    relative.  None if it has not stopped after ``max_iter`` steps."""
+    h = np.asarray(channels).conj().T
+    c = 1.0 + 1.0 / np.asarray(gamma, dtype=float)
+    lam = np.zeros(h.shape[1])
+    step = None
+    for _ in range(max_iter):
+        m = np.eye(h.shape[0]) + (h * lam) @ h.conj().T
+        new = 1.0 / (c * np.real(np.sum(h.conj() * np.linalg.solve(m, h), axis=0)))
+        new_step = float(np.max((new - lam) / new))
+        if step is not None and new_step < step and new_step * new_step / (step - new_step) <= 1e-9:
+            return sigma2 * float(new.sum())
+        lam, step = new, new_step
+    return None
+
+
+class ReachedSolve(Exception):
+    pass
 
 
 class TestPointSingle:
@@ -250,6 +277,10 @@ class TestPointMulti:
         with pytest.raises(Infeasible) as exc_info:
             design_point_multi(scen)
         assert exc_info.value.certificate is not None
+        assert_farkas_ray(build_point_sdp(scen), exc_info.value.certificate)
+        with pytest.raises(Infeasible) as exc_info:
+            design_extended_multi(scen)
+        assert_farkas_ray(build_extended_sdp(scen), exc_info.value.certificate)
 
     def test_duals_exposed(self, rng):
         scen = make_scenario(rng, k=3, n_tx=8, n_rx=10, gamma_db=12.0)
@@ -384,3 +415,64 @@ class TestExtendedMulti:
         sol = design_extended_multi(scen)
         rep = check_certificate(build_extended_sdp(scen), sol.diagnostics["sdp"])
         assert rep["gap"] <= SolveOptions().tol
+
+
+class TestLeastPowerPrecheck:
+    """The multi-user designs raise Infeasible before the SDR when the SINR targets
+    need more than the power budget, and otherwise leave the decision to the SDR."""
+
+    @pytest.fixture(scope="class")
+    def edge(self):
+        # a paper-size draw at 28 dB and the least power it needs (about 2.09 W)
+        channels = draw_channels(12, 16, np.random.default_rng(0))
+        gamma = np.full(12, 10 ** 2.8)
+        return channels, gamma, least_power(channels, gamma, 1.0)
+
+    @staticmethod
+    def scenario(channels, gamma, power, sigma2=1.0):
+        n = channels.shape[1]
+        return Scenario(ArrayGeometry(n, n + 4), channels, gamma, power, sigma2, 1.0, n + 14, PointTarget(0.0))
+
+    def test_just_below_least_power_raises_before_the_ipm(self, edge, monkeypatch):
+        channels, gamma, power = edge
+        scen = self.scenario(channels, gamma, 0.999 * power)
+        monkeypatch.setattr(designs, "solve", mock.Mock(side_effect=ReachedSolve))
+        for design, build in ((design_point_multi, build_point_sdp), (design_extended_multi, build_extended_sdp)):
+            with pytest.raises(Infeasible) as info:
+                design(scen)
+            assert_farkas_ray(build(scen), info.value.certificate)
+
+    def test_just_above_least_power_designs(self, edge):
+        channels, gamma, power = edge
+        scen = self.scenario(channels, gamma, 1.001 * power)
+        sol = design_point_multi(scen)
+        assert sol.total_power <= scen.power_budget * (1 + 1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 8), st.data(), st.floats(-3.0, 3.0),
+           st.one_of(st.just(None), st.floats(1e-3, 1e-1)), st.sampled_from([0.95, 1.05]),
+           st.integers(0, 2**32 - 1))
+    def test_decides_on_random_edges(self, n, data, log_sigma2, spread, factor, seed):
+        # spread: None for Rayleigh channels, else each user is one common channel
+        # plus this much of its own, so the channels are near-parallel
+        k = data.draw(st.integers(1, n - 1))
+        gamma = 10 ** (np.array(data.draw(st.lists(st.floats(0.0, 30.0), min_size=k, max_size=k))) / 10)
+        rng = np.random.default_rng(seed)
+        if spread is None:
+            channels = complex_gaussian(rng, (k, n))
+        else:
+            channels = complex_gaussian(rng, n) + spread * complex_gaussian(rng, (k, n))
+        sigma2 = 10.0 ** log_sigma2
+        power = least_power(channels, gamma, sigma2)
+        assume(power is not None)
+        scen = self.scenario(channels, gamma, factor * power, sigma2)
+        with mock.patch.object(designs, "solve", side_effect=ReachedSolve):
+            for design, build in ((design_point_multi, build_point_sdp),
+                                  (design_extended_multi, build_extended_sdp)):
+                if factor < 1:
+                    with pytest.raises(Infeasible) as info:
+                        design(scen)
+                    assert_farkas_ray(build(scen), info.value.certificate)
+                else:
+                    with pytest.raises(ReachedSolve):
+                        design(scen)

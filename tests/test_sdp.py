@@ -20,7 +20,7 @@ from crbeam.sdp import (
     solve,
 )
 
-from conftest import complex_gaussian, make_scenario, random_hermitian, random_psd
+from conftest import assert_farkas_ray, complex_gaussian, make_scenario, random_hermitian, random_psd
 
 
 def scalar_lower_bound_problem():
@@ -399,19 +399,9 @@ def scattered_slack_problem(sense0=">=", rhs3=2.5):
 
 
 def assert_dual_ray(p, sol, rel_tol=1e-9):
-    """``sol`` is Infeasible with a Farkas ray y of the one-block program ``p``, checked on
-    the caller's data: y_i signed by row i's sense, b^T y > 0 and -sum y_i C_i PSD, each
-    within ``rel_tol`` |y|."""
+    """``sol`` is Infeasible with a Farkas ray of ``p``, checked on the caller's data."""
     assert (sol.status, sol.termination) == ("Infeasible", "dual_ray")
-    y = sol.certificate["y"]
-    coeffs = [con.block_coeffs["X"] for con in p.constraints]
-    tol = rel_tol * np.linalg.norm(y)
-    senses = [con.sense for con in p.constraints]
-    assert all(yi >= -tol for yi, sense in zip(y, senses) if sense == ">=")
-    assert all(yi <= tol for yi, sense in zip(y, senses) if sense == "<=")
-    z_ray = -sum(yi * c for yi, c in zip(y, coeffs))
-    assert np.linalg.eigvalsh(z_ray)[0] >= -tol
-    assert y @ np.array([con.rhs for con in p.constraints]) > 0
+    assert_farkas_ray(p, sol.certificate, rel_tol)
 
 
 class TestSlacks:
@@ -433,6 +423,9 @@ class TestSlacks:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.floats(0.1, 100.0), st.floats(1.1, 3.0), st.integers(0, 2),
            st.integers(0, 2**32 - 1))
+    # a certificate once measured on the solver's halved, scaled data: cone violation
+    # reported 8.3e-10 for a ray whose -sum y_i C_i has eigenvalue -1.66e-9 |y|
+    @example(n=1, power=0.109375, c=1.1015625, n_extra=0, seed=0)
     def test_random_infeasible_programs_give_rays(self, n, power, c, n_extra, seed):
         # tr(QX) <= lambda_max(Q) tr X <= lambda_max(Q) P < c lambda_max(Q) P
         rng = np.random.default_rng(seed)
