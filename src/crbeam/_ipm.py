@@ -23,8 +23,8 @@ which plays the role of explicit skew-symmetry equality constraints
 without enlarging the Newton system.
 
 Each iterate is evaluated once, by one residual pass that the status
-test, the best-iterate record, the ray checks, the Newton right-hand
-sides and the report all read.
+test, the best-iterate record, the Newton right-hand sides and the
+report all read.
 
 Constraint coefficient matrices are mostly elementary (a few nonzero
 entries coupling block entries).  Each block keeps every coefficient row in
@@ -36,7 +36,7 @@ from both without a dense triple product per elementary row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,8 +50,6 @@ from .numerics import hermitize
 TERMINATIONS = (
     "target_tol",           # metric reached target_tol
     "no_progress",          # best iterate within tol and the iteration stopped improving
-    "dual_ray",             # Infeasible: dual improving ray found
-    "primal_ray",           # Unbounded: primal improving ray found
     "schur_failure",        # NT scaling or Schur factorization raised LinAlgError
     "nonfinite_direction",  # Newton direction not finite
     "step_stall",           # step lengths below 1e-8 three iterations running
@@ -60,7 +58,6 @@ TERMINATIONS = (
 
 _DENSE_ROW_NNZ = 16  # rows with more nonzeros than this use dense matmuls
 STEP_FRAC = 0.99     # fraction of the distance to the cone boundary each step takes
-INFEAS_TOL = 1e-6    # least objective improvement rate of an infeasibility ray
 MAX_ITER = 120       # iteration limit of solve_cone_program, read at each call
 
 
@@ -87,7 +84,7 @@ class ConeProgram:
 
 @dataclass
 class IpmResult:
-    status: str                              # Optimal | Infeasible | Unbounded | MaxIter
+    status: str                              # Optimal | MaxIter
     x: List[np.ndarray]                      # Hermitian PSD blocks, n x n; the slacks are not reported
     y: np.ndarray
     z: List[np.ndarray]                      # dual Hermitian PSD blocks, n x n
@@ -99,7 +96,6 @@ class IpmResult:
     iterations: int
     termination: str                         # why the iteration stopped; one of TERMINATIONS
     history: List[dict] = field(default_factory=list)
-    certificate: Optional[dict] = None       # dual ray, or primal ray over the Hermitian blocks
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -246,6 +242,11 @@ def _max_step_nonneg(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
+def _finite(dx: List[np.ndarray], dxs: np.ndarray, dy: np.ndarray) -> bool:
+    """Whether a Newton direction is finite in every block, slack and multiplier."""
+    return all(np.all(np.isfinite(d)) for d in dx + [dxs, dy])
+
+
 class _NTScaling:
     """NT scaling data for one iteration: per PSD block, and for the slacks."""
 
@@ -305,8 +306,9 @@ class _SchurSolver:
             raise np.linalg.LinAlgError("Schur complement factorization failed")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        dy = sla.cho_solve(self.chol, rhs)
-        return dy + sla.cho_solve(self.chol, rhs - self.m @ dy)
+        # a diverging iterate can make rhs non-finite: the caller's direction test catches it
+        dy = sla.cho_solve(self.chol, rhs, check_finite=False)
+        return dy + sla.cho_solve(self.chol, rhs - self.m @ dy, check_finite=False)
 
 
 def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> IpmResult:
@@ -317,10 +319,10 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
     reported residuals are typically well below ``tol``.  The result's
     ``termination`` names the exit taken (see ``TERMINATIONS``).
 
-    Each iterate is evaluated once, at the top of its iteration, into a
-    record.  A ray exit reports the current record; every other exit the one
-    of least max(res_p, res_d, min(gap, mu_rel)), as Optimal when its
-    max(res_p, res_d, gap) is at most ``tol``.
+    Each iterate is evaluated once, at the top of its iteration.  Every
+    exit reports the iterate of least max(res_p, res_d, min(gap, mu_rel)),
+    as Optimal when its max(res_p, res_d, gap) is at most ``tol`` and as
+    MaxIter otherwise.
     """
     sizes = [coeff.shape[-1] for coeff in prog.a_coeff]    # block j is embedded at 2 * sizes[j]
     nu = 2 * sum(sizes) + prog.slack_rows.shape[0]
@@ -377,50 +379,12 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
             1.0 + float(np.sqrt(sum(np.sum(cb * cb) for cb in c_s)))
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, aty, rd, rd_s, pobj, dobj, res_p, res_d, gap
+        return rp, rd, rd_s, pobj, dobj, res_p, res_d, gap
 
-    def check_infeasible(y, aty):
-        """Dual improving ray: b^T y > 0 and -A^T y in the dual cone; ``aty`` is A^T y."""
-        ny = float(np.linalg.norm(y))
-        if ny < 1e-12:
-            return None
-        yn = y / ny
-        improvement = float(b_s @ yn)
-        if improvement < INFEAS_TOL:
-            return None
-        viol = 0.0
-        scale = 1.0
-        for atb in aty:
-            atb = atb / ny
-            scale = max(scale, float(np.linalg.norm(atb)))
-            viol = max(viol, max(0.0, -float(np.linalg.eigvalsh(_sym(-atb))[0])))
-        zs_ray = -(scoef * yn[srows])
-        scale = max(scale, float(np.max(np.abs(zs_ray), initial=0.0)))
-        viol = max(viol, max(0.0, -float(np.min(zs_ray, initial=0.0))))
-        if viol <= 1e-9 * scale:
-            return {"kind": "dual_ray", "y": yn, "improvement": improvement, "cone_violation": viol}
-        return None
-
-    def check_unbounded(x, xs, pobj, rp):
-        """Primal improving ray: <c, x> < 0 and A x = 0, read as <c, x> = pobj and A x = b - rp."""
-        nx = float(np.sqrt(sum(np.sum(b * b) for b in x + [xs])))
-        if nx < 1e-12:
-            return None
-        rate = pobj / nx
-        if rate > -INFEAS_TOL:
-            return None
-        # b - rp carries a cancellation of order eps |b|, far below the test once divided by |x|
-        if float(np.linalg.norm(b_s - rp)) / nx <= 1e-9:
-            return {"kind": "primal_ray", "x": [_unembed(b / nx) for b in x], "objective_rate": rate}
-        return None
-
-    status, termination = "MaxIter", "max_iter"
-    certificate = None
+    termination = "max_iter"
     no_progress = 0
     for it in range(1, MAX_ITER + 1):
-        rp, aty, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
-        # steps rebind the iterate's arrays and never write into them: shallow lists keep it
-        record = (list(x), y, list(z), pobj, dobj, res_p, res_d, gap)
+        rp, rd, rd_s, pobj, dobj, res_p, res_d, gap = residuals(x, xs, y, z, zs)
         mu = (_inner(x, z) + float(np.sum(xs * zs))) / nu
         # at large objective magnitudes gap_rel bottoms out on cancellation noise;
         # mu is then the sharper complementarity measure
@@ -431,7 +395,8 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
         else:
             no_progress = 0
         if best is None or metric < best[0]:
-            best = (metric, record)
+            # steps rebind the iterate's arrays and never write into them: shallow lists keep it
+            best = (metric, (list(x), y, list(z), pobj, dobj, res_p, res_d, gap))
         history.append(
             {
                 "iter": it - 1,
@@ -444,23 +409,11 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
             }
         )
         if metric <= target_tol:
-            status, termination = "Optimal", "target_tol"
+            termination = "target_tol"
             break
         if best[0] <= tol and (no_progress >= 3 or stall >= 2):
-            status, termination = "Optimal", "no_progress"
+            termination = "no_progress"
             break
-
-        # divergence-based certificates
-        if res_p > 1e3 * tol and it > 5:
-            cert = check_infeasible(y, aty)
-            if cert is not None:
-                status, termination, certificate = "Infeasible", "dual_ray", cert
-                break
-        if it > 5:
-            cert = check_unbounded(x, xs, pobj, rp)
-            if cert is not None:
-                status, termination, certificate = "Unbounded", "primal_ray", cert
-                break
 
         try:
             nt = _NTScaling(x, z, xs, zs)
@@ -493,7 +446,10 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
             return min(1.0, STEP_FRAC * ap), min(1.0, STEP_FRAC * ad)
 
         # predictor (affine) step
-        dx_a, dxs_a, _, dz_a, dzs_a = newton([-xb for xb in x], -xs)
+        dx_a, dxs_a, dy_a, dz_a, dzs_a = newton([-xb for xb in x], -xs)
+        if not _finite(dx_a, dxs_a, dy_a):
+            termination = "nonfinite_direction"
+            break
         ap_a, ad_a = max_steps(dx_a, dxs_a, dz_a, dzs_a)
         gap_aff = _inner([xb + ap_a * d for xb, d in zip(x, dx_a)], [zb + ad_a * d for zb, d in zip(z, dz_a)])
         gap_aff += float(np.sum((xs + ap_a * dxs_a) * (zs + ad_a * dzs_a)))
@@ -511,7 +467,7 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
             rc.append(_sym(g @ rc_s @ g.T))
         rc_slack = (sigma * mu - xs * zs - dxs_a * dzs_a) / zs
         dx, dxs, dy, dz, dzs = newton(rc, rc_slack)
-        if any(not np.all(np.isfinite(d)) for d in dx + [dxs]) or not np.all(np.isfinite(dy)):
+        if not _finite(dx, dxs, dy):
             termination = "nonfinite_direction"
             break
         ap, ad = max_steps(dx, dxs, dz, dzs)
@@ -531,17 +487,13 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
         zs = zs + ad * dzs
         y = y + ad * dy
 
-    # a ray is a property of the current iterate; every other exit reports the best one
-    x, y, z, pobj, dobj, res_p, res_d, gap = record if certificate is not None else best[1]
-    if status == "MaxIter" and max(res_p, res_d, gap) <= tol:
-        status = "Optimal"
+    x, y, z, pobj, dobj, res_p, res_d, gap = best[1]
+    optimal = termination in ("target_tol", "no_progress") or max(res_p, res_d, gap) <= tol
 
     # undo data scaling (row equilibration folds into the multipliers)
     y_out = y * norm_c / row_scale
-    if certificate is not None and "y" in certificate:
-        certificate["y"] = certificate["y"] / row_scale
     return IpmResult(
-        status=status,
+        status="Optimal" if optimal else "MaxIter",
         x=[_unembed(xb * norm_b) for xb in x],
         y=y_out,
         z=[2.0 * _unembed(zb * norm_c) for zb in z],     # the halved coefficients give a halved Z
@@ -553,5 +505,4 @@ def solve_cone_program(prog: ConeProgram, *, tol: float, target_tol: float) -> I
         iterations=it,
         termination=termination,
         history=history,
-        certificate=certificate,
     )

@@ -26,6 +26,7 @@ from .numerics import herm_eig, hermitize, psd_sqrt
 from .sdp import SdpProblem, SdpSolution, SolveOptions, dual_ray_certificate, elem_im, elem_re, solve
 
 RANK_ONE_RATIO = 1e-6
+SINR_SHORTFALL = 1e-3        # a multi-user design fails when a user's SINR is below gamma_k (1 - this)
 # the least-power pre-check of the multi-user designs (_check_least_power)
 LEAST_POWER_MARGIN = 1e-6    # certify only when the least power exceeds the budget by this fraction
 LEAST_POWER_MAX_ITER = 50
@@ -200,7 +201,9 @@ def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
     Then y = s lambda_k / gamma_k on SINR row k, -1 on the power row and 0
     elsewhere gives -sum y_i C_i = M(s lambda) - c_k s lambda_k h_k h_k^H on
     W_k and M(s lambda) on WA, and b^T y = sigma^2 s sum lambda - P.  Returns
-    when Newton converges or breaks down before the bound is passed.
+    when Newton converges or breaks down before the bound is passed.  In the
+    window P < least power <= P (1 + LEAST_POWER_MARGIN) nothing is certified:
+    the SDR then designs within its tolerance or raises SolverFailure.
     """
     k = scenario.n_users
     h = np.column_stack([scenario.user_channel(i) for i in range(k)])
@@ -243,11 +246,16 @@ def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
 
 
 def _check_status(sol: SdpSolution, what: str) -> None:
-    """Infeasible with its ray, or SolverFailure, unless the SDR solved."""
-    if sol.status == "Infeasible":
-        raise Infeasible("SINR set jointly unreachable under the power budget", certificate=sol.certificate)
+    """SolverFailure unless the SDR solved."""
     if sol.status != "Optimal":
-        raise SolverFailure(f"{what} SDR ended with status {sol.status}")
+        raise SolverFailure(f"{what} SDR ended with status {sol.status} ({sol.termination})")
+
+
+def _check_sinrs(sinrs: np.ndarray, scenario: Scenario, sol: SdpSolution, what: str) -> None:
+    """SolverFailure when a user's SINR falls short of its target by more than SINR_SHORTFALL."""
+    worst = float(np.min(sinrs / scenario.sinr_thresholds))
+    if worst < 1 - SINR_SHORTFALL:
+        raise SolverFailure(f"{what} design reaches {worst:.3g} of a SINR target after the SDR ended {sol.termination}")
 
 
 def build_point_sdp(scenario: Scenario) -> SdpProblem:
@@ -321,9 +329,9 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
 
     Before the SDR, a Newton solve of the power-minimisation fixed point
     (``_check_least_power``) raises ``Infeasible`` with a Farkas ray of
-    the SDR when the SINR targets need more than the power budget.  When
-    it converges at or below the budget, or breaks down, the SDR is solved
-    as if it had not run, and its status decides.
+    the SDR when the SINR targets need more than the power budget.  Else
+    the SDR is solved as if it had not run, and a status other than Optimal
+    or a SINR ``SINR_SHORTFALL`` short of its target raises SolverFailure.
     """
     target = scenario.target
     problem = build_point_sdp(scenario)
@@ -356,6 +364,7 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
         raise RankExcess(f"relaxed blocks not rank-one (eig ratios {ratios})", solution=partial)
     beamformers = np.column_stack([w for w, _ in factors])
     sinrs = achieved_sinrs(beamformers, None, scenario.channels, scenario.noise_comm)
+    _check_sinrs(sinrs, scenario, sol, "point")
     return DesignSolution(
         comm_beamformers=beamformers,
         covariance=r_x,
@@ -444,7 +453,7 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
     The same least-power pre-check as ``design_point_multi`` runs first and
     raises ``Infeasible`` with a Farkas ray of the epigraph SDR when the
     SINR targets need more than the power budget; otherwise the SDR is
-    solved as if it had not run.
+    solved as if it had not run, and fails as in ``design_point_multi``.
     """
     problem = build_extended_sdp(scenario)
     _check_least_power(problem, scenario)
@@ -465,6 +474,7 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
         beamformers[:, i] = (w_bar @ h) / np.sqrt(useful)
 
     sinrs = achieved_sinrs(beamformers, w_a, scenario.channels, scenario.noise_comm)
+    _check_sinrs(sinrs, scenario, sol, "extended")
     objective = crb_extended(r_bar, scenario)
     trace_inv = objective * scenario.frame_len / (scenario.noise_radar * scenario.geometry.n_rx)
     return DesignSolution(

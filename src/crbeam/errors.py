@@ -26,7 +26,8 @@ class SingularCovariance(CrbeamError):
 
 
 class Infeasible(CrbeamError):
-    """Constraint set certified empty (carries the dual ray when available)."""
+    """Constraint set certified empty.  The multi-user designs always attach a
+    Farkas ray of their SDR as ``certificate``; the single-user closed forms never do."""
 
     def __init__(self, msg, certificate=None):
         super().__init__(msg)

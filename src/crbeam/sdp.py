@@ -126,7 +126,6 @@ class SdpSolution:
     iterations: int
     termination: str                        # the IPM's exit reason, one of _ipm.TERMINATIONS
     history: List[dict] = field(default_factory=list)
-    certificate: Optional[dict] = None
 
 
 def elem_re(n: int, i: int, j: int) -> np.ndarray:
@@ -198,53 +197,43 @@ def _build_cone_program(p: SdpProblem):
 def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     """Solve the SDP.
 
-    Status Optimal means that the reported iterate, the best one the
-    interior-point method saw, has max(res_p, res_d, min(gap, mu_rel)) at
-    most ``opts.tol`` (at most ``opts.target_tol`` when that is larger),
-    measured on the solver's row-equilibrated data divided by
-    max(1, max|b|) and max(1, max|C|).  mu_rel is the complementarity x.z relative to the objectives.
-    So the reported relative gap can exceed ``opts.tol``, and residuals
+    The status is Optimal or MaxIter.  Optimal means that the reported
+    iterate, the best one the interior-point method saw, has
+    max(res_p, res_d, min(gap, mu_rel)) at most ``opts.tol`` (at most
+    ``opts.target_tol`` when that is larger), measured on the solver's
+    row-equilibrated data divided by max(1, max|b|) and max(1, max|C|).
+    mu_rel is the complementarity x.z relative to the objectives.  So the
+    reported relative gap can exceed ``opts.tol``, and residuals
     recomputed from the original data (:func:`check_certificate`) can
-    exceed it too.  ``termination`` names the exit the method took.  A
-    dual ray's certificate is measured on the caller's data
-    (:func:`dual_ray_certificate`).
+    exceed it too.  Every other exit reports MaxIter on the best iterate.
+    Nothing detects infeasibility or unboundedness: such a program ends
+    MaxIter.  ``termination`` names the exit the method took.
 
     A free scalar s must have a nonzero coefficient a in exactly one ``==``
     row, a s + <C, X> = b, and no other scalar may be in that row.  The
     method solves with s = (b - <C, X>) / a and without that row, so its
     residuals, termination and ``history`` are those of that program.  s
     is recovered from its row, whose multiplier is c_s / a (c_s the
-    objective coefficient of s); a dual ray has 0 there, and a primal ray
-    gets x_free = -<C, X_ray> / a.
+    objective coefficient of s).
     """
     opts = opts or SolveOptions()
     prog, block_names, defining, kept = _build_cone_program(p)
     res = _ipm.solve_cone_program(prog, tol=opts.tol, target_tol=opts.target_tol)
     primal_blocks = dict(zip(block_names, res.x))
 
-    def full_rows(v):   # 0 in the defining rows
-        out = np.zeros(len(p.constraints))
-        out[kept] = v
-        return out
-
-    def defined(s, blocks, rhs):
-        con = p.constraints[defining[s]]
-        return (rhs - constraint_value(con, blocks, dict.fromkeys(con.scalar_coeffs, 0.0))) / con.scalar_coeffs[s]
-
-    y = full_rows(res.y)
+    y = np.zeros(len(p.constraints))
+    y[kept] = res.y
+    scalars = {}
     for s, i in defining.items():
-        y[i] = p.objective_scalars.get(s, 0.0) / p.constraints[i].scalar_coeffs[s]
+        con = p.constraints[i]
+        y[i] = p.objective_scalars.get(s, 0.0) / con.scalar_coeffs[s]
+        value = constraint_value(con, primal_blocks, dict.fromkeys(con.scalar_coeffs, 0.0))
+        scalars[s] = (con.rhs - value) / con.scalar_coeffs[s]
     constant = sum(y[i] * p.constraints[i].rhs for i in defining.values())
-    certificate = res.certificate
-    if certificate is not None and "y" in certificate:
-        certificate = dual_ray_certificate(p, full_rows(certificate["y"]))
-    elif certificate is not None:
-        ray = dict(zip(block_names, certificate["x"]))
-        certificate["x_free"] = np.array([defined(s, ray, 0.0) for s in p.free_scalars])
     return SdpSolution(
         status=res.status,
         primal_blocks=primal_blocks,
-        scalars={s: defined(s, primal_blocks, p.constraints[i].rhs) for s, i in defining.items()},
+        scalars=scalars,
         dual_multipliers=y,
         dual_blocks=dict(zip(block_names, res.z)),
         pobj=res.pobj + constant,
@@ -253,7 +242,6 @@ def solve(p: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
         iterations=res.iterations,
         termination=res.termination,
         history=res.history,
-        certificate=certificate,
     )
 
 

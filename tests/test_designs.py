@@ -16,7 +16,7 @@ from crbeam.designs import (
     design_point_single,
     extract_rank_one,
 )
-from crbeam.errors import Infeasible, RankExcess, ResidualNotPSD, ZeroUsefulPower
+from crbeam.errors import Infeasible, RankExcess, ResidualNotPSD, SolverFailure, ZeroUsefulPower
 from crbeam.experiments import draw_channels
 from crbeam.metrics import Scenario, achieved_sinrs, crb_point_theta
 from crbeam.numerics import herm_eig
@@ -290,6 +290,17 @@ class TestPointMulti:
         assert np.all(duals["mu"] >= 0)
         assert duals["mu_T"] >= 0
 
+    def test_sinr_shortfall_raises_solver_failure(self):
+        # near-parallel users at an extreme power scale: the point SDR once ended Optimal
+        # (no_progress) with user 2 at 1.37e-5 of its SINR target, which check_certificate
+        # hid by dividing by 1 + max|b| = 1.2e14
+        rng = np.random.default_rng(0)
+        channels = complex_gaussian(rng, 3) + 1e-6 * complex_gaussian(rng, (2, 3))
+        scen = TestLeastPowerPrecheck.scenario(channels, np.full(2, 10 ** 2.5), 1.2e14)
+        for design in (design_point_multi, design_extended_multi):
+            with pytest.raises(SolverFailure, match="SINR target"):
+                design(scen)
+
     @pytest.mark.parametrize("seed, n_users, gamma_db", [
         (1, 4, 30.0), ([7, 4], 12, 0.0), (3, 3, 16.5), (3, 3, 18.0), (3, 3, 19.5), (5, 3, 25.5),
     ])
@@ -447,6 +458,21 @@ class TestLeastPowerPrecheck:
         scen = self.scenario(channels, gamma, 1.001 * power)
         sol = design_point_multi(scen)
         assert sol.total_power <= scen.power_budget * (1 + 1e-6)
+
+    def test_feasibility_edge_window_is_left_to_the_sdr(self):
+        # P just inside LEAST_POWER_MARGIN: nothing is certified, so no design raises
+        # Infeasible; each meets its targets within P (1 + 1e-6), or fails
+        channels = draw_channels(4, 8, np.random.default_rng(0))
+        gamma = np.full(4, 100.0)
+        power = least_power(channels, gamma, 1.0) / (1 + 5e-7)
+        scen = self.scenario(channels, gamma, power)
+        for design in (design_point_multi, design_extended_multi):
+            try:
+                sol = design(scen)
+            except SolverFailure:
+                continue
+            assert np.all(sol.achieved_sinrs >= gamma * (1 - 1e-5))
+            assert sol.total_power <= power * (1 + 1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 8), st.data(), st.floats(-3.0, 3.0),
