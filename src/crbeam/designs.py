@@ -8,7 +8,7 @@ per-user beamformers plus an auxiliary probing beamformer.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,25 +245,33 @@ def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
         lam = lam * np.exp(np.clip(du, -LEAST_POWER_STEP, LEAST_POWER_STEP))
 
 
-def _check_status(sol: SdpSolution, what: str) -> None:
-    """SolverFailure unless the SDR solved."""
+def _solve_relaxation(problem: SdpProblem, scenario: Scenario, what: str,
+                      opts: Optional[SolveOptions] = None) -> SdpSolution:
+    """The least-power pre-check, then the SDR; SolverFailure unless it ends Optimal."""
+    _check_least_power(problem, scenario)
+    sol = solve(problem, opts)
     if sol.status != "Optimal":
         raise SolverFailure(f"{what} SDR ended with status {sol.status} ({sol.termination})")
+    return sol
 
 
-def _check_sinrs(sinrs: np.ndarray, scenario: Scenario, sol: SdpSolution, what: str) -> None:
-    """SolverFailure when a user's SINR falls short of its target by more than SINR_SHORTFALL."""
+def _guarded_sinrs(beamformers: np.ndarray, w_a: Optional[np.ndarray], scenario: Scenario,
+                   sol: SdpSolution, what: str) -> np.ndarray:
+    """The achieved SINRs; SolverFailure when one falls short of its target by more than SINR_SHORTFALL."""
+    sinrs = achieved_sinrs(beamformers, w_a, scenario.channels, scenario.noise_comm)
     worst = float(np.min(sinrs / scenario.sinr_thresholds))
     if worst < 1 - SINR_SHORTFALL:
         raise SolverFailure(f"{what} design reaches {worst:.3g} of a SINR target after the SDR ended {sol.termination}")
+    return sinrs
 
 
 def build_point_sdp(scenario: Scenario) -> SdpProblem:
     """Relaxed CRB-minimization SDP: per-user PSD blocks, free t, 2x2 LMI slack.
 
     Row layout: 4 coupling rows tying the LMI block P to the trace terms
-    (and t), then K SINR rows, then the power row.  The verify module
-    depends on this ordering to map multipliers back to the KKT system.
+    (and t), then K SINR rows, then the power row.  ``_point_duals`` and
+    ``_check_least_power`` read rows by this position; ``verify.check_kkt_point``
+    reads the ``duals`` that ``_point_duals`` names.
     """
     geom = scenario.geometry
     target = scenario.target
@@ -334,10 +342,7 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
     or a SINR ``SINR_SHORTFALL`` short of its target raises SolverFailure.
     """
     target = scenario.target
-    problem = build_point_sdp(scenario)
-    _check_least_power(problem, scenario)
-    sol = solve(problem)
-    _check_status(sol, "point")
+    sol = _solve_relaxation(build_point_sdp(scenario), scenario, "point")
 
     k = scenario.n_users
     # the solver returns exactly Hermitian blocks, so their sum is too
@@ -363,8 +368,7 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
         )
         raise RankExcess(f"relaxed blocks not rank-one (eig ratios {ratios})", solution=partial)
     beamformers = np.column_stack([w for w, _ in factors])
-    sinrs = achieved_sinrs(beamformers, None, scenario.channels, scenario.noise_comm)
-    _check_sinrs(sinrs, scenario, sol, "point")
+    sinrs = _guarded_sinrs(beamformers, None, scenario, sol, "point")
     return DesignSolution(
         comm_beamformers=beamformers,
         covariance=r_x,
@@ -420,31 +424,30 @@ def build_extended_sdp(scenario: Scenario) -> SdpProblem:
 def extract_rank_one(
     r_bar: np.ndarray,
     w_bars: Sequence[np.ndarray],
-    q_list: Sequence[np.ndarray],
-) -> Tuple[List[np.ndarray], np.ndarray]:
+    channels: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
     """Lossless rank-one extraction from a relaxed extended-target solution.
 
-    Each user block is compressed onto its useful-signal direction,
-    preserving the per-user received power; the leftover covariance moves
-    into the auxiliary beamformer so that the total covariance, objective
-    and every SINR are unchanged.
+    User k's beamformer is w_k = W_k h_k / sqrt(h_k^H W_k h_k) for its
+    relaxed block W_k and channel h_k: w_k w_k^H keeps the useful power
+    h_k^H W_k h_k and lies below W_k, so the leftover covariance
+    R - sum w_k w_k^H is PSD.  Returns the (N_t, K) beamformer matrix and
+    the auxiliary beamformer W_A = psd_sqrt(R - sum w_k w_k^H), so that the
+    total covariance, objective and every SINR are unchanged.
     """
     r_bar = hermitize(np.asarray(r_bar, dtype=complex))
-    total = np.zeros_like(r_bar)
-    w_tilde = []
-    for w_bar, q in zip(w_bars, q_list):
-        denom = float(np.real(np.trace(q @ w_bar)))
-        if denom <= 1e-12 * max(np.real(np.trace(w_bar)), 1e-300):
-            raise ZeroUsefulPower(f"useful power {denom:.3e} vanishes for a user block")
-        wt = hermitize(w_bar @ q @ w_bar.conj().T) / denom
-        w_tilde.append(wt)
-        total += wt
-    residual = hermitize(r_bar - total)
+    beamformers = np.zeros((r_bar.shape[0], len(w_bars)), dtype=complex)
+    for i, (w_bar, h) in enumerate(zip(w_bars, channels)):
+        useful = float(np.real(h.conj() @ w_bar @ h))
+        if useful <= 1e-12 * max(np.real(np.trace(w_bar)), 1e-300):
+            raise ZeroUsefulPower(f"useful power {useful:.3e} vanishes for a user block")
+        beamformers[:, i] = (w_bar @ h) / np.sqrt(useful)
+    residual = hermitize(r_bar - beamformers @ beamformers.conj().T)
     try:
         w_a = psd_sqrt(residual)
     except NotPSD as exc:
         raise ResidualNotPSD(f"covariance residual not PSD after extraction: {exc}") from exc
-    return w_tilde, w_a
+    return beamformers, w_a
 
 
 def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = None) -> DesignSolution:
@@ -455,26 +458,14 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
     SINR targets need more than the power budget; otherwise the SDR is
     solved as if it had not run, and fails as in ``design_point_multi``.
     """
-    problem = build_extended_sdp(scenario)
-    _check_least_power(problem, scenario)
-    sol = solve(problem, opts or SolveOptions(target_tol=1e-9))
-    _check_status(sol, "extended")
-
+    opts = opts or SolveOptions(target_tol=1e-9)
+    sol = _solve_relaxation(build_extended_sdp(scenario), scenario, "extended", opts)
     k = scenario.n_users
     w_bars = [sol.primal_blocks[f"W{i+1}"] for i in range(k)]
     w_aux_bar = sol.primal_blocks["WA"]
     r_bar = sum(w_bars) + w_aux_bar
-    channels = [scenario.user_channel(i) for i in range(k)]
-    q_list = [np.outer(h, h.conj()) for h in channels]
-
-    w_tilde, w_a = extract_rank_one(r_bar, w_bars, q_list)
-    beamformers = np.zeros((scenario.geometry.n_tx, k), dtype=complex)
-    for i, (w_bar, h) in enumerate(zip(w_bars, channels)):
-        useful = float(np.real(h.conj() @ w_bar @ h))
-        beamformers[:, i] = (w_bar @ h) / np.sqrt(useful)
-
-    sinrs = achieved_sinrs(beamformers, w_a, scenario.channels, scenario.noise_comm)
-    _check_sinrs(sinrs, scenario, sol, "extended")
+    beamformers, w_a = extract_rank_one(r_bar, w_bars, [scenario.user_channel(i) for i in range(k)])
+    sinrs = _guarded_sinrs(beamformers, w_a, scenario, sol, "extended")
     objective = crb_extended(r_bar, scenario)
     trace_inv = objective * scenario.frame_len / (scenario.noise_radar * scenario.geometry.n_rx)
     return DesignSolution(
@@ -488,7 +479,6 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
             "trace_inverse": trace_inv,
             "w_bars": w_bars,
             "w_aux_bar": w_aux_bar,
-            "w_tilde": w_tilde,
             "sdp": sol,
         },
     )

@@ -10,7 +10,9 @@ from crbeam.arrays import (
     steering,
     steering_deriv,
     steering_deriv_norm_sq,
+    target_response,
 )
+from crbeam.errors import DimensionMismatch
 
 
 class TestSteering:
@@ -120,3 +122,14 @@ class TestValidation:
     def test_angle_domain(self):
         with pytest.raises(ValueError):
             PointTarget(2.0, 1.0)
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: steering_deriv(0.0, 1), ValueError, "derivative needs n >= 2"),
+    (lambda: target_response(ExtendedTarget(np.ones((4, 4))), ArrayGeometry(4, 6)), DimensionMismatch,
+     r"response shape \(4, 4\) != \(6, 4\)"),
+    (lambda: target_response(0.3, ArrayGeometry(4, 6)), TypeError, "unsupported target type"),
+], ids=["steering_deriv", "response_shape", "target_type"])
+def test_input_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -6,6 +6,7 @@ import pytest
 from crbeam.cli import main
 from crbeam.experiments import (
     ExperimentConfig,
+    ResultTable,
     config_for,
     run_experiment,
     run_fig2,
@@ -124,6 +125,29 @@ class TestConfig:
         c2 = config_for("fig3", seed=1)
         assert c1.config_hash() == c2.config_hash()
         assert c1.config_hash() != config_for("fig3", seed=2).config_hash()
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: run_fig2(config_for("fig2", n_users=2)), r"n_users must be 1"),
+        (lambda: run_experiment(ExperimentConfig()), "no runner for experiment 'custom'"),
+    ], ids=["fig2_users", "custom"])
+    def test_input_checks(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+class TestResultTable:
+    def test_csv_cell_formats(self):
+        table = ResultTable(["int", "np_int", "nan", "none", "float"],
+                            [[3, np.int64(4), float("nan"), None, 1.5]], {"seed": 1})
+        assert table.to_csv() == "# seed=1\nint,np_int,nan,none,float\n3,4,nan,nan,1.500000000000e+00\n"
+
+    def test_json_numpy_scalars(self):
+        table = ResultTable(["n", "x"], [[np.int64(3), np.float32(1.5)]], {"seed": np.int32(1)})
+        assert table.to_json() == '{"columns": ["n", "x"], "metadata": {"seed": 1}, "rows": [[3, 1.5]]}\n'
+
+    def test_json_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="not JSON-serializable"):
+            ResultTable(["x"], [[object()]], {}).to_json()
 
 
 class TestCliMain:

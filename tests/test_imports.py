@@ -1,9 +1,10 @@
-"""Every name a ``crbeam`` module imports is used in that module.
+"""Every name a ``crbeam`` module imports is used in that module, and every
+private module-level name the package defines is read somewhere in it.
 
-No linter runs on this repository, so this stands in for one rule of it:
-an import left behind after the code that used it was removed.  The
-package's ``__init__.py`` imports names to re-export them, so it is
-exempt.
+No linter runs on this repository, so these stand in for two of its rules:
+an import, or a private helper or constant, left behind after the code
+that used it was removed.  The package's ``__init__.py`` imports names to
+re-export them, so it is exempt from the first.
 """
 
 import ast
@@ -37,3 +38,41 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Tuple\nx: List = os.sep\n") == [(2, "Tuple")]
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) for each module-level ``_name`` function, class or
+    constant defined in ``sources`` (module name -> source) that none of them reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_no_unread_private_names():
+    unread = unread_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert not unread, f"private names defined but never read: {unread}"
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_A, _B = 1, 2\n__all__ = []\ndef _used():\n    return _A\nclass _Gone:\n    pass\n",
+        "b.py": "from . import a\n_x: int = a._used() + a._LIMIT\n",
+    }
+    assert unread_private_names(sources) == [("a.py", 2, "_B"), ("a.py", 6, "_Gone"), ("b.py", 2, "_x")]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crbeam.arrays import ArrayGeometry, PointTarget, steering, steering_deriv
-from crbeam.errors import SingularCovariance, SingularFIM
+from crbeam.errors import DimensionMismatch, SingularCovariance, SingularFIM
 from crbeam.metrics import (
     Scenario,
     achieved_sinrs,
@@ -299,3 +299,18 @@ class TestScenario:
     def test_frame_length_validation(self, rng):
         with pytest.raises(ValueError):
             make_scenario(rng, k=2, n_tx=16, n_rx=20, frame_len=16)  # L > N_t violated
+
+    @pytest.mark.parametrize("change, exc, match", [
+        ({"channels": np.ones((2, 5))}, DimensionMismatch, "channel columns 5 != n_tx 4"),
+        ({"sinr_thresholds": [10.0]}, DimensionMismatch, "one SINR threshold per user"),
+        ({"power_budget": 0.0}, ValueError, "powers must be strictly positive"),
+        ({"noise_comm": -1.0}, ValueError, "powers must be strictly positive"),
+        ({"noise_radar": 0.0}, ValueError, "powers must be strictly positive"),
+        ({"sinr_thresholds": [10.0, 0.0]}, ValueError, "SINR thresholds must be strictly positive"),
+    ])
+    def test_input_checks(self, change, exc, match):
+        args = dict(geometry=ArrayGeometry(4, 6), channels=np.ones((2, 4)), sinr_thresholds=[10.0, 10.0],
+                    power_budget=1.0, noise_comm=1.0, noise_radar=1.0, frame_len=8)
+        Scenario(**args)
+        with pytest.raises(exc, match=match):
+            Scenario(**{**args, **change})

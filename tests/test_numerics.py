@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crbeam.errors import NonHermitian, NotPSD
-from crbeam.numerics import herm_eig, psd_sqrt
+from crbeam.numerics import assert_hermitian, herm_eig, psd_sqrt
 
 from conftest import complex_gaussian, random_psd, random_hermitian
 
@@ -85,3 +85,12 @@ class TestPsdSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: assert_hermitian(np.ones((2, 3)), "block"), NonHermitian, r"block is not square: shape \(2, 3\)"),
+    (lambda: assert_hermitian(np.ones(3)), NonHermitian, "matrix is not square"),
+], ids=["rectangular", "vector"])
+def test_input_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

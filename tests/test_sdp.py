@@ -263,6 +263,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="'Y'"):
             solve(p)
 
+    @pytest.mark.parametrize("call, exc, match", [
+        (lambda: scalar_lower_bound_problem().add_block("X", 2), ValueError, "duplicate block 'X'"),
+        (lambda: SdpProblem(free_scalars=["t"]).add_free_scalar("t"), ValueError, "duplicate scalar 't'"),
+        (lambda: scalar_lower_bound_problem().block_dim("Y"), KeyError, "'Y'"),
+        (lambda: SdpProblem(blocks=[("X", 1), ("X", 1)]).validate(), ValueError, "duplicate block names"),
+        (lambda: SdpProblem(blocks=[("X", 1)], constraints=[LinearConstraint({"X": np.eye(1)}, sense="<>")])
+         .validate(), ValueError, "unknown sense '<>'"),
+    ], ids=["add_block", "add_free_scalar", "block_dim", "validate_names", "validate_sense"])
+    def test_input_checks(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
 
 class TestFreeColumns:
     def test_two_free_scalars_in_three_rows(self):

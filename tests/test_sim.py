@@ -205,3 +205,15 @@ class TestExtendedMle:
         r1 = monte_carlo_extended(scen, sol.comm_beamformers, sol.aux_beamformer, 60, 9)
         r2 = monte_carlo_extended(scen, sol.comm_beamformers, sol.aux_beamformer, 60, 9)
         assert r1 == r2
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda rng: radar_echo(np.ones((3, 5)), PointTarget(0.0), 1.0, ArrayGeometry(4, 6), rng),
+     DimensionMismatch, "expects 4 tx antennas, got 3"),
+    (lambda rng: monte_carlo_point(make_scenario(rng, k=2, n_tx=4, n_rx=6, frame_len=8,
+                                                 target=ExtendedTarget(np.ones((6, 4)))), np.ones((4, 2)), 1, 0),
+     ValueError, "scenario must carry a PointTarget"),
+], ids=["radar_echo", "monte_carlo_point"])
+def test_input_checks(call, exc, match, rng):
+    with pytest.raises(exc, match=match):
+        call(rng)
