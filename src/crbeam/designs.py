@@ -8,7 +8,8 @@ per-user beamformers plus an auxiliary probing beamformer.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,21 +176,43 @@ def _radar_only_scenario(geometry, h1, gamma1, p_t, sigma_c2, frame_len, noise_r
 # multi-user SDR: point target
 # ---------------------------------------------------------------------------
 
-def _add_sinr_and_power_rows(p: SdpProblem, scenario: Scenario, names: Sequence[str]) -> None:
-    """The K SINR rows, then the power row; user i's block is ``names[i]``, the others interfere."""
-    for i in range(scenario.n_users):
-        h_i = scenario.user_channel(i)
+def _add_sinr_and_power_rows(p: SdpProblem, scenario: Scenario, names: Sequence[str],
+                             channels: Sequence[np.ndarray], extra_power: Optional[dict] = None) -> None:
+    """The K SINR rows, then the power row; user i's block is ``names[i]``, the others interfere.
+
+    ``channels`` are the h_k in the blocks' coordinates; ``extra_power``
+    holds the power row's coefficients on blocks outside ``names``."""
+    for i, h_i in enumerate(channels):
         q_i = np.outer(h_i, h_i.conj())
         gamma_i = scenario.sinr_thresholds[i]
         coeffs = {name: q_i if j == i else -gamma_i * q_i for j, name in enumerate(names)}
         p.add_constraint(coeffs, sense=">=", rhs=gamma_i * scenario.noise_comm, name=f"sinr_{i+1}")
-    n_t = scenario.geometry.n_tx
-    p.add_constraint({n: np.eye(n_t, dtype=complex) for n in names}, sense="<=", rhs=scenario.power_budget, name="power")
+    eye = np.eye(len(channels[0]), dtype=complex)
+    p.add_constraint({**{name: eye for name in names}, **(extra_power or {})},
+                     sense="<=", rhs=scenario.power_budget, name="power")
 
 
-def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
-    """Raise Infeasible with a Farkas ray of ``p`` when the least power that
-    meets every SINR target exceeds the budget.
+def _in_basis(basis: Optional[np.ndarray], vectors: Sequence[np.ndarray]) -> list:
+    """Q^H v for each vector, or the vectors themselves without a basis."""
+    return list(vectors) if basis is None else [basis.conj().T @ v for v in vectors]
+
+
+def _lift(x_hat: np.ndarray, basis: np.ndarray, perp=None) -> np.ndarray:
+    """A Hermitian block of the reduced SDR in full coordinates.
+
+    A block of size s n, n the columns of Q, is s x s sub-blocks; each
+    becomes Q X_ij Q^H + perp_ij (I - Q Q^H), so the lift is
+    (I_s (x) Q) X (I_s (x) Q)^H + perp (x) (I - Q Q^H)."""
+    b = np.kron(np.eye(x_hat.shape[0] // basis.shape[1]), basis)
+    x = b @ x_hat @ b.conj().T
+    if perp is not None:
+        x = x + np.kron(np.atleast_2d(perp), np.eye(basis.shape[0]) - basis @ basis.conj().T)
+    return hermitize(x)
+
+
+def _check_least_power(scenario: Scenario, build: Callable[[Scenario], SdpProblem]) -> None:
+    """Raise Infeasible with a Farkas ray of the full-size SDR ``build(scenario)``
+    when the least power that meets every SINR target exceeds the budget.
 
     That power is sigma^2 sum lambda_k at the uplink-downlink fixed point
     c_k lambda_k x_k(lambda) = 1, where c_k = 1 + 1/gamma_k,
@@ -223,6 +246,7 @@ def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
             s = 1.0 if e >= 0 else 1.0 / (1.0 - e)
             if sigma2 * s * lam.sum() > bound:
                 # the last K + 1 rows, as _add_sinr_and_power_rows appends them
+                p = build(scenario)
                 y = np.zeros(len(p.constraints))
                 y[-k - 1 : -1] = s * lam / gamma
                 y[-1] = -1.0
@@ -245,11 +269,13 @@ def _check_least_power(p: SdpProblem, scenario: Scenario) -> None:
         lam = lam * np.exp(np.clip(du, -LEAST_POWER_STEP, LEAST_POWER_STEP))
 
 
-def _solve_relaxation(problem: SdpProblem, scenario: Scenario, what: str,
+def _solve_relaxation(build: Callable[..., SdpProblem], basis: np.ndarray, scenario: Scenario, what: str,
                       opts: Optional[SolveOptions] = None) -> SdpSolution:
-    """The least-power pre-check, then the SDR; SolverFailure unless it ends Optimal."""
-    _check_least_power(problem, scenario)
-    sol = solve(problem, opts)
+    """The least-power pre-check, then the SDR on ``basis``; SolverFailure unless it ends Optimal.
+
+    Only a certified infeasibility builds the full-size SDR, for its ray."""
+    _check_least_power(scenario, build)
+    sol = solve(build(scenario, basis), opts)
     if sol.status != "Optimal":
         raise SolverFailure(f"{what} SDR ended with status {sol.status} ({sol.termination})")
     return sol
@@ -265,20 +291,24 @@ def _guarded_sinrs(beamformers: np.ndarray, w_a: Optional[np.ndarray], scenario:
     return sinrs
 
 
-def build_point_sdp(scenario: Scenario) -> SdpProblem:
+def build_point_sdp(scenario: Scenario, basis: Optional[np.ndarray] = None) -> SdpProblem:
     """Relaxed CRB-minimization SDP: per-user PSD blocks, free t, 2x2 LMI slack.
 
     Row layout: 4 coupling rows tying the LMI block P to the trace terms
     (and t), then K SINR rows, then the power row.  ``_point_duals`` and
     ``_check_least_power`` read rows by this position; ``verify.check_kkt_point``
     reads the ``duals`` that ``_point_duals`` names.
+
+    With ``basis`` Q (N_t x d, orthonormal columns whose span holds a, da
+    and every h_k) the blocks are d x d and stand for Q W_k Q^H, with the
+    same rows on Q^H a, Q^H da and Q^H h_k.  This reduction is exact: every
+    row but the power row reads W_k only through those vectors, so a
+    block's part outside span Q only spends power and an optimal W_k lies
+    inside it.  Without a basis the blocks are N_t x N_t.
     """
-    geom = scenario.geometry
-    target = scenario.target
-    if not isinstance(target, PointTarget):
-        raise ValueError("point design needs a PointTarget scenario")
-    n_t, k = geom.n_tx, scenario.n_users
-    a, ad, nb2, nbd2 = point_terms(target.theta, geom)
+    k = scenario.n_users
+    a, ad, nb2, nbd2 = point_terms(_point_target(scenario).theta, scenario.geometry)
+    a, ad, *channels = _in_basis(basis, [a, ad] + [scenario.user_channel(i) for i in range(k)])
 
     add = nbd2 * np.outer(a, a.conj()) + nb2 * np.outer(ad, ad.conj())   # A^H A derivative part
     aa = nb2 * np.outer(a, a.conj())
@@ -288,7 +318,7 @@ def build_point_sdp(scenario: Scenario) -> SdpProblem:
     p = SdpProblem()
     names = [f"W{i+1}" for i in range(k)]
     for name in names:
-        p.add_block(name, n_t)
+        p.add_block(name, len(a))
     p.add_block("P", 2)
     p.add_free_scalar("t")
     p.set_objective(scalar_coeffs={"t": -1.0})
@@ -305,8 +335,34 @@ def build_point_sdp(scenario: Scenario) -> SdpProblem:
     p.add_constraint(
         {"P": elem_re(2, 1, 1), **{n: -hermitize(aa) for n in names}}, sense="==", rhs=0.0, name="couple_p22"
     )
-    _add_sinr_and_power_rows(p, scenario, names)
+    _add_sinr_and_power_rows(p, scenario, names, channels)
     return p
+
+
+def _point_target(scenario: Scenario) -> PointTarget:
+    if not isinstance(scenario.target, PointTarget):
+        raise ValueError("point design needs a PointTarget scenario")
+    return scenario.target
+
+
+def _point_basis(scenario: Scenario) -> np.ndarray:
+    """Q of span{a, da, h_1, ..., h_K} (reduced QR): N_t x min(N_t, K + 2)."""
+    a, ad, _, _ = point_terms(_point_target(scenario).theta, scenario.geometry)
+    return np.linalg.qr(np.column_stack([a, ad] + [scenario.user_channel(i) for i in range(scenario.n_users)]))[0]
+
+
+def _lift_point(sol: SdpSolution, basis: np.ndarray, k: int) -> SdpSolution:
+    """The reduced point SDR's solution as one of the full-size SDR.
+
+    Rows, y, t and P carry over; W_k = Q W^_k Q^H, and the dual slack
+    Z_k = Q Z^_k Q^H + mu_T (I - Q Q^H), which is -sum_i y_i C_i on W_k
+    because only the power row reaches outside span Q."""
+    mu_t = _point_duals(sol.dual_multipliers, k)["mu_T"]
+    primal, dual = dict(sol.primal_blocks), dict(sol.dual_blocks)
+    for name in (f"W{i+1}" for i in range(k)):
+        primal[name] = _lift(sol.primal_blocks[name], basis)
+        dual[name] = _lift(sol.dual_blocks[name], basis, mu_t)
+    return replace(sol, primal_blocks=primal, dual_blocks=dual)
 
 
 def _rank_one_factor(w_mat: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -340,11 +396,19 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
     the SDR when the SINR targets need more than the power budget.  Else
     the SDR is solved as if it had not run, and a status other than Optimal
     or a SINR ``SINR_SHORTFALL`` short of its target raises SolverFailure.
+
+    The SDR is solved on a basis of span{a, da, h_1, ..., h_K}
+    (``build_point_sdp``) and lifted: ``diagnostics["sdp"]`` and
+    ``"w_blocks"`` are a solution of the full-size ``build_point_sdp(scenario)``.
     """
     target = scenario.target
-    sol = _solve_relaxation(build_point_sdp(scenario), scenario, "point")
-
     k = scenario.n_users
+    basis = _point_basis(scenario)
+    # polished a decade past the solver's default: the reduced SDR's iterations are cheap, and the
+    # small eigenvalues of a block that RANK_ONE_RATIO reads shrink with the complementarity
+    opts = SolveOptions(target_tol=1e-11)
+    sol = _lift_point(_solve_relaxation(build_point_sdp, basis, scenario, "point", opts), basis, k)
+
     # the solver returns exactly Hermitian blocks, so their sum is too
     w_blocks = [sol.primal_blocks[f"W{i+1}"] for i in range(k)]
     factors = [_rank_one_factor(w) for w in w_blocks]
@@ -382,43 +446,129 @@ def design_point_multi(scenario: Scenario) -> DesignSolution:
 # multi-user SDR: extended target
 # ---------------------------------------------------------------------------
 
-def build_extended_sdp(scenario: Scenario) -> SdpProblem:
+def _epigraph_rows(n: int) -> list:
+    """(i, j, imag) of the rows on E, in build order: Re and Im of E[i, n + j]
+    for every i, j (the identity rows), then Re E[n + i, n + j] for i <= j,
+    each followed by Im E[n + i, n + j] when i < j (the covariance rows)."""
+    identity = [(i, n + j, imag) for i in range(n) for j in range(n) for imag in (False, True)]
+    covariance = [(n + i, n + j, imag) for i in range(n) for j in range(i, n)
+                  for imag in ((False, True) if i != j else (False,))]
+    return identity + covariance
+
+
+def build_extended_sdp(scenario: Scenario, basis: Optional[np.ndarray] = None) -> SdpProblem:
     """Epigraph form of the trace-inverse SDR.
 
     Variables: user blocks W_k, auxiliary covariance WA (the slack making
     R_X = sum W_k + WA), and the Schur block E = [[T, I], [I, R_X]] whose
-    upper-left trace is the objective.
+    upper-left trace is the objective.  Rows: the identity rows of E, its
+    covariance rows (``_epigraph_rows``), then K SINR rows and the power row.
+
+    With ``basis`` Q (N_t x n, orthonormal columns whose span holds every
+    h_k) the blocks W_k, WA are n x n and E is 2n x 2n, with the same rows
+    on Q^H h_k, and m = N_t - n > 0 adds a block C = [[tau, sqrt m],
+    [sqrt m, c]] (two rows fix its off-diagonal) for the complement of
+    span Q: tau joins the objective and m c the power row.  The lift
+    R_X = Q R^ Q^H + c (I - Q Q^H), T = Q T^ Q^H + (tau / m)(I - Q Q^H)
+    keeps every row, the objective and E's PSD-ness.  This reduction is
+    exact: a unitary that fixes every h_k maps the full SDR's optimal
+    points to optimal points, and tr R^-1 is strictly convex, so the
+    optimal R_X commutes with all of them and has this form, as the
+    single-user closed form does with its ``lambda_rest``.  Without a basis
+    the blocks are N_t x N_t and there is no C.
     """
-    geom = scenario.geometry
-    n_t, k = geom.n_tx, scenario.n_users
+    n_t, k = scenario.geometry.n_tx, scenario.n_users
+    channels = _in_basis(basis, [scenario.user_channel(i) for i in range(k)])
+    n = len(channels[0])
     names = [f"W{i+1}" for i in range(k)] + ["WA"]
     p = SdpProblem()
     for name in names:
-        p.add_block(name, n_t)
-    p.add_block("E", 2 * n_t)
-    obj = np.zeros((2 * n_t, 2 * n_t), dtype=complex)
-    obj[:n_t, :n_t] = np.eye(n_t)
-    p.set_objective({"E": obj})
+        p.add_block(name, n)
+    p.add_block("E", 2 * n)
+    obj = np.zeros((2 * n, 2 * n), dtype=complex)
+    obj[:n, :n] = np.eye(n)
+    objective = {"E": obj}
 
-    for i in range(n_t):
-        for j in range(n_t):
-            rhs = 1.0 if i == j else 0.0
-            p.add_constraint({"E": elem_re(2 * n_t, i, n_t + j)}, sense="==", rhs=rhs)
-            p.add_constraint({"E": elem_im(2 * n_t, i, n_t + j)}, sense="==", rhs=0.0)
     minus_one = -1.0
-    for i in range(n_t):
-        for j in range(i, n_t):
-            coeffs = {"E": elem_re(2 * n_t, n_t + i, n_t + j)}
+    for i, j, imag in _epigraph_rows(n):
+        elem = elem_im if imag else elem_re
+        coeffs = {"E": elem(2 * n, i, j)}
+        if i >= n:
             for name in names:
-                coeffs[name] = minus_one * elem_re(n_t, i, j)
-            p.add_constraint(coeffs, sense="==", rhs=0.0)
-            if i != j:
-                coeffs = {"E": elem_im(2 * n_t, n_t + i, n_t + j)}
-                for name in names:
-                    coeffs[name] = minus_one * elem_im(n_t, i, j)
-                p.add_constraint(coeffs, sense="==", rhs=0.0)
-    _add_sinr_and_power_rows(p, scenario, names)
+                coeffs[name] = minus_one * elem(n, i - n, j - n)
+        p.add_constraint(coeffs, sense="==", rhs=1.0 if j == n + i and not imag else 0.0)
+    extra_power = {}
+    m = n_t - n
+    if m > 0:
+        p.add_block("C", 2)
+        objective["C"] = elem_re(2, 0, 0)
+        p.add_constraint({"C": elem_re(2, 0, 1)}, sense="==", rhs=np.sqrt(m))
+        p.add_constraint({"C": elem_im(2, 0, 1)}, sense="==", rhs=0.0)
+        extra_power["C"] = m * elem_re(2, 1, 1)
+    p.set_objective(objective)
+    _add_sinr_and_power_rows(p, scenario, names, channels, extra_power)
     return p
+
+
+def _extended_basis(scenario: Scenario) -> np.ndarray:
+    """Q of span{h_1, ..., h_K} (reduced QR): N_t x min(N_t, K)."""
+    return np.linalg.qr(np.column_stack([scenario.user_channel(i) for i in range(scenario.n_users)]))[0]
+
+
+def _epigraph_multipliers(y: np.ndarray, n: int) -> np.ndarray:
+    """sum_i y_i C_i over the rows on E, on E: y holds their multipliers in build order."""
+    i, j, imag = np.array(_epigraph_rows(n), dtype=int).T
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    np.add.at(m, (i, j), np.where(imag, 0.5j, 0.5) * y)
+    np.add.at(m, (j, i), np.where(imag, -0.5j, 0.5) * y)
+    return m
+
+
+def _epigraph_row_values(m: np.ndarray, n: int) -> np.ndarray:
+    """The multipliers y of the rows on E with sum_i y_i C_i = m (Hermitian, zero where no row reaches)."""
+    i, j, imag = np.array(_epigraph_rows(n), dtype=int).T
+    return np.where(imag, 2 * m[i, j].imag, np.where(i == j, 1.0, 2.0) * m[i, j].real)
+
+
+def _lift_extended(sol: SdpSolution, basis: np.ndarray, k: int) -> SdpSolution:
+    """The reduced epigraph SDR's solution as one of the full-size SDR.
+
+    R_X's complement c (I - Q Q^H) is shared evenly, W_k = Q W^_k Q^H +
+    c / (K + 1) (I - Q Q^H) and WA likewise.  Only the power and
+    covariance rows see the complement, and only through the sum, so any
+    split is optimal; the even one is the analytic centre of the splits,
+    the point an interior-point solve of the full SDR converges to.  E
+    takes its complement from C scaled to one dimension, [[tau / m,
+    C_01 / sqrt m], [., c]].
+
+    The SINR and power rows keep their multipliers.  The rows on E get
+    theirs from sum_i y_i C_i on E, lifted with the complement [[0, g],
+    [g*, y_P]]: g = (y_Re + i y_Im) / (2 sqrt m) from C's two rows keeps
+    b^T y, and y_P, the power row's multiplier, makes the complement of
+    every dual slack Z_W zero, so E's dual slack there is C's scaled as
+    well, [[Z_00, Z_01 / sqrt m], [., Z_11 / m]].  (At the optimum
+    -y_P = 1 / c^2.)
+    """
+    n_t, n = basis.shape
+    m = n_t - n
+    y = sol.dual_multipliers
+    n_rows = 3 * n * n
+    y_e = _epigraph_multipliers(y[:n_rows], n)
+    x_perp = z_perp = y_perp = None
+    if m > 0:
+        x_c, z_c = sol.primal_blocks["C"], sol.dual_blocks["C"]
+        to_x, to_z = np.diag([1 / np.sqrt(m), 1.0]), np.diag([1.0, 1 / np.sqrt(m)])
+        x_perp, z_perp = to_x @ x_c @ to_x, to_z @ z_c @ to_z
+        g = (y[n_rows] + 1j * y[n_rows + 1]) / (2 * np.sqrt(m))
+        y_perp = np.array([[0.0, g], [np.conj(g), y[-1]]])
+    names = [f"W{i+1}" for i in range(k)] + ["WA"]
+    share = None if x_perp is None else x_perp[1, 1].real / len(names)
+    primal = {name: _lift(sol.primal_blocks[name], basis, share) for name in names}
+    primal["E"] = _lift(sol.primal_blocks["E"], basis, x_perp)
+    dual = {name: _lift(sol.dual_blocks[name], basis) for name in names}
+    dual["E"] = _lift(sol.dual_blocks["E"], basis, z_perp)
+    y_full = np.concatenate([_epigraph_row_values(_lift(y_e, basis, y_perp), n_t), y[-k - 1:]])
+    return replace(sol, primal_blocks=primal, dual_blocks=dual, dual_multipliers=y_full)
 
 
 def extract_rank_one(
@@ -457,10 +607,16 @@ def design_extended_multi(scenario: Scenario, opts: Optional[SolveOptions] = Non
     raises ``Infeasible`` with a Farkas ray of the epigraph SDR when the
     SINR targets need more than the power budget; otherwise the SDR is
     solved as if it had not run, and fails as in ``design_point_multi``.
+
+    The SDR is solved on a basis of span{h_1, ..., h_K}
+    (``build_extended_sdp``) and lifted (``_lift_extended``):
+    ``diagnostics["sdp"]``, ``"w_bars"`` and ``"w_aux_bar"`` are a
+    solution of the full-size ``build_extended_sdp(scenario)``.
     """
     opts = opts or SolveOptions(target_tol=1e-9)
-    sol = _solve_relaxation(build_extended_sdp(scenario), scenario, "extended", opts)
     k = scenario.n_users
+    basis = _extended_basis(scenario)
+    sol = _lift_extended(_solve_relaxation(build_extended_sdp, basis, scenario, "extended", opts), basis, k)
     w_bars = [sol.primal_blocks[f"W{i+1}"] for i in range(k)]
     w_aux_bar = sol.primal_blocks["WA"]
     r_bar = sum(w_bars) + w_aux_bar

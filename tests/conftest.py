@@ -70,6 +70,19 @@ def assert_farkas_ray(problem, certificate, rel_tol=1e-9):
     assert certificate["cone_violation"] == pytest.approx(max(0.0, -lam_min) / norm_y, rel=1e-9, abs=1e-300)
 
 
+def lossless_extraction_error(w_bars, beamformers, channels):
+    """How far the columns w_k of ``beamformers`` are from a lossless extraction of the
+    relaxed blocks W_k: the largest over k of -lambda_min(W_k - w_k w_k^H) / ||W_k|| and
+    |h_k^H (W_k - w_k w_k^H) h_k| / h_k^H W_k h_k, with h_k^H the rows of ``channels``."""
+    worst = 0.0
+    for w_bar, w, h_row in zip(w_bars, np.asarray(beamformers).T, channels):
+        h = np.conj(h_row)
+        rest = w_bar - np.outer(w, w.conj())
+        worst = max(worst, -np.linalg.eigvalsh((rest + rest.conj().T) / 2)[0] / np.linalg.norm(w_bar),
+                    abs(np.real(h.conj() @ rest @ h)) / np.real(h.conj() @ w_bar @ h))
+    return worst
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

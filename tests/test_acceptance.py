@@ -23,7 +23,7 @@ from crbeam.numerics import herm_eig, hermitize
 from crbeam.sim import monte_carlo_extended, monte_carlo_point
 from crbeam.verify import check_kkt_point, check_schur, check_rank_one_condition, eig_f, gradient_matrix_f
 
-from conftest import complex_gaussian, make_scenario, random_psd
+from conftest import complex_gaussian, lossless_extraction_error, make_scenario, random_psd
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -91,6 +91,7 @@ def test_criterion_3_extraction_conservation():
     rng = np.random.default_rng(303)
     worst = 0.0
     worst_rank = 0.0
+    worst_lossless = 0.0
     for i in range(100):
         k = 2 + i % 4
         gamma_db = (5.0, 10.0, 15.0)[i % 3]
@@ -122,8 +123,11 @@ def test_criterion_3_extraction_conservation():
         for w_k in w.T:
             ev = np.linalg.eigvalsh(np.outer(w_k, w_k.conj()))
             worst_rank = max(worst_rank, ev[-2] / ev[-1])
-    ok = worst <= 1e-8 and worst_rank <= 1e-6
-    report(3, ok, f"max conservation drift {worst:.2e} (tol 1e-8), max rank ratio {worst_rank:.2e}")
+        # W_k - w_k w_k^H is PSD and holds none of the useful power: the extraction is lossless
+        worst_lossless = max(worst_lossless, lossless_extraction_error(sol.diagnostics["w_bars"], w, channels))
+    ok = worst <= 1e-8 and worst_rank <= 1e-6 and worst_lossless <= 1e-10
+    report(3, ok, f"max conservation drift {worst:.2e} (tol 1e-8), max rank ratio {worst_rank:.2e}, "
+                  f"max lossless-extraction error {worst_lossless:.2e} (tol 1e-10)")
 
 
 def test_criterion_4_closed_form_kkt():
