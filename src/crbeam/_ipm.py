@@ -227,8 +227,8 @@ def _inner(u: Sequence[np.ndarray], v: Sequence[np.ndarray]) -> float:
 
 def _max_step_psd(lx: np.ndarray, dx: np.ndarray) -> float:
     """sup {alpha : x + alpha dx >= 0} for PD x with Cholesky factor ``lx``."""
-    m = sla.solve_triangular(lx, dx, lower=True)
-    m = sla.solve_triangular(lx, m.T, lower=True)
+    m = sla.solve_triangular(lx, dx, lower=True, check_finite=False)
+    m = sla.solve_triangular(lx, m.T, lower=True, check_finite=False)
     lam_min = float(np.linalg.eigvalsh(_sym(m))[0])
     if lam_min >= 0:
         return np.inf
@@ -265,7 +265,7 @@ class _NTScaling:
             u, s, vt = np.linalg.svd(lz.T @ lx)
             s = np.maximum(s, 1e-300)
             g = lx @ vt.T / np.sqrt(s)
-            ginv = (vt.T * np.sqrt(s)).T @ sla.solve_triangular(lx, np.eye(xb.shape[0]), lower=True)
+            ginv = (vt.T * np.sqrt(s)).T @ sla.solve_triangular(lx, np.eye(xb.shape[0]), lower=True, check_finite=False)
             self.g.append(g)
             self.ginv.append(ginv)
             self.w.append(g @ g.T)     # exactly symmetric: numpy forms G G^T with syrk

@@ -84,17 +84,13 @@ def cmd_design(args) -> int:
     cfg = _load_config(args)
     point = args.mode == "point"
     scen = draw_scenario(cfg, PointTarget(cfg.target_angle) if point else None)
-    h1, gamma = scen.user_channel(0), scen.sinr_thresholds[0]
     if cfg.n_users > 1:
         sol = design_point_multi(scen) if point else design_extended_multi(scen)
     elif point:
-        sol = design_point_single(
-            h1, cfg.target_angle, gamma, cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
-            alpha=1.0, frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
-        )
+        sol = design_point_single(scen)
     else:
         sol = design_extended_single(
-            h1, gamma, cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
+            scen.user_channel(0), scen.sinr_thresholds[0], cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
             frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
         )
     payload = {

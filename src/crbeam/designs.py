@@ -50,28 +50,22 @@ def _check_budget(h1: np.ndarray, gamma1: float, p_t: float, sigma_c2: float) ->
     return h_norm2
 
 
-def design_point_single(
-    h1: np.ndarray,
-    theta: float,
-    gamma1: float,
-    p_t: float,
-    sigma_c2: float,
-    geometry: ArrayGeometry,
-    alpha: Optional[complex] = None,
-    frame_len: Optional[int] = None,
-    noise_radar: Optional[float] = None,
-) -> DesignSolution:
+def design_point_single(scenario: Scenario) -> DesignSolution:
     """Single-user point-target beamformer maximizing power on the target angle.
 
     Either points the full budget at the target (inactive SINR constraint)
     or splits it between the channel direction and the in-plane component
     of the steering vector, with phases aligned so both parts add up on
-    the target.  ``objective`` is filled with the angle CRB when the radar
-    parameters are supplied.
+    the target.  ``objective`` is the angle CRB.  ``scenario`` has one user
+    and a ``PointTarget``.
     """
-    h1 = np.asarray(h1, dtype=complex).ravel()
-    a = steering(theta, geometry.n_tx)
-    n_t = geometry.n_tx
+    target = _point_target(scenario)
+    if scenario.n_users != 1:
+        raise ValueError(f"the point closed form has one user, the scenario has {scenario.n_users}")
+    h1, gamma1 = scenario.user_channel(0), scenario.sinr_thresholds[0]
+    p_t, sigma_c2 = scenario.power_budget, scenario.noise_comm
+    n_t = scenario.geometry.n_tx
+    a = steering(target.theta, n_t)
     h_norm2 = _check_budget(h1, gamma1, p_t, sigma_c2)
     cross = abs(h1.conj() @ a) ** 2
     u1 = h1 / np.sqrt(h_norm2)
@@ -92,16 +86,12 @@ def design_point_single(
     r_x = np.outer(w1, w1.conj())
     sinr = abs(h1.conj() @ w1) ** 2 / sigma_c2
     directivity = float(abs(a.conj() @ w1) ** 2)
-    objective = None
-    if alpha is not None and frame_len is not None and noise_radar is not None:
-        scen = _radar_only_scenario(geometry, h1, gamma1, p_t, sigma_c2, frame_len, noise_radar)
-        objective = crb_point_theta(r_x, theta, alpha, scen)
     return DesignSolution(
         comm_beamformers=w1.reshape(-1, 1),
         covariance=r_x,
         aux_beamformer=None,
         achieved_sinrs=np.array([sinr]),
-        objective=objective,
+        objective=crb_point_theta(r_x, target.theta, target.alpha, scenario),
         diagnostics={"method": "closed_form_point", "directivity": directivity},
     )
 
@@ -112,14 +102,17 @@ def design_extended_single(
     p_t: float,
     sigma_c2: float,
     geometry: ArrayGeometry,
-    frame_len: Optional[int] = None,
-    noise_radar: Optional[float] = None,
+    *,
+    frame_len: int,
+    noise_radar: float,
 ) -> DesignSolution:
     """Single-user extended-target design minimizing tr(R_X^{-1}).
 
     Below the threshold the covariance is isotropic; above it the user
     eigenvalue pins to the SINR requirement and the remaining budget is
-    spread evenly over the orthogonal complement.
+    spread evenly over the orthogonal complement.  ``objective`` is the
+    CRB, or None on the singular boundary where nothing is left for the
+    complement (``lambda_rest`` = 0).
     """
     h1 = np.asarray(h1, dtype=complex).ravel()
     n_t = geometry.n_tx
@@ -139,11 +132,9 @@ def design_extended_single(
     sinr = abs(h1.conj() @ w1) ** 2 / (np.sum(np.abs(h1.conj() @ w_a) ** 2) + sigma_c2)
     if lam_rest > 0:
         trace_inv = 1.0 / lam_user + (n_t - 1) / lam_rest
-    else:
-        trace_inv = np.inf
-    objective = None
-    if frame_len is not None and noise_radar is not None and np.isfinite(trace_inv):
         objective = noise_radar * geometry.n_rx / frame_len * trace_inv
+    else:
+        trace_inv, objective = np.inf, None
     return DesignSolution(
         comm_beamformers=w1.reshape(-1, 1),
         covariance=r_x,
@@ -157,18 +148,6 @@ def design_extended_single(
             "lambda_rest": lam_rest,
             "isotropic_branch": gamma1 < threshold,
         },
-    )
-
-
-def _radar_only_scenario(geometry, h1, gamma1, p_t, sigma_c2, frame_len, noise_radar) -> Scenario:
-    return Scenario(
-        geometry=geometry,
-        channels=h1.conj().reshape(1, -1),
-        sinr_thresholds=np.array([gamma1]),
-        power_budget=p_t,
-        noise_comm=sigma_c2,
-        noise_radar=noise_radar,
-        frame_len=frame_len,
     )
 
 

@@ -214,18 +214,13 @@ def run_fig2(cfg: ExperimentConfig) -> ResultTable:
     rng = np.random.default_rng(cfg.seed)
     channels = draw_channels(1, cfg.n_tx, rng)
     h1 = channels[0].conj()
-    alpha = 1.0 + 0.0j
     rows = []
     for gamma_db in cfg.sinr_sweep_db or []:
         gamma = db_to_linear(gamma_db)
         row = [gamma_db]
         try:
-            target = PointTarget(cfg.target_angle, alpha)
-            scen = build_scenario(cfg, channels, [gamma], target)
-            closed = design_point_single(
-                h1, cfg.target_angle, gamma, cfg.power_mw, cfg.noise_comm_mw, cfg.geometry,
-                alpha=alpha, frame_len=cfg.frame_len, noise_radar=cfg.noise_radar_mw,
-            )
+            scen = build_scenario(cfg, channels, [gamma], PointTarget(cfg.target_angle))
+            closed = design_point_single(scen)
             sdp_val = _sdp_point_objective(scen)
             root_closed = np.degrees(np.sqrt(closed.objective))
             root_sdp = np.degrees(np.sqrt(sdp_val))

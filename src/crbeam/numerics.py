@@ -68,8 +68,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """
     values, vectors = herm_eig(M)
     vmax = float(values[-1]) if values.size else 0.0
-    if vmax < 0 and abs(vmax) <= 1e-14 * max(1.0, herm_error(M)):
-        vmax = 0.0
     floor = -PSD_FAIL_RTOL * max(vmax, 0.0)
     if values.size and values[0] < min(floor, -1e-14):
         raise NotPSD(f"min eigenvalue {values[0]:.3e} below PSD tolerance {floor:.3e}")

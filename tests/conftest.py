@@ -42,6 +42,11 @@ def make_scenario(rng, k=4, n_tx=16, n_rx=20, gamma_db=15.0, p_t=1000.0, sigma_c
     )
 
 
+def one_user_scenario(h1, gamma, geometry, p_t=1.0, sigma_c2=1.0, theta=0.0):
+    """The scenario of one user with channel ``h1`` and a PointTarget at ``theta`` (L = 30, sigma_R^2 = 1)."""
+    return Scenario(geometry, np.conj(h1)[None, :], [gamma], p_t, sigma_c2, 1.0, 30, PointTarget(theta))
+
+
 def assert_farkas_ray(problem, certificate, rel_tol=1e-9):
     """``certificate`` holds a Farkas ray y of ``problem``, checked on its data alone: y_i
     signed by row i's sense, b^T y > 0, -sum y_i C_i PSD on every block and

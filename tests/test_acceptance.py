@@ -40,9 +40,7 @@ def test_criterion_1_closed_form_vs_sdr_agreement():
         h1 = complex_gaussian(rng, 16)
         gamma = db_to_linear(rng.uniform(5.0, 30.0))
         scen = Scenario(geom, h1.conj()[None, :], [gamma], 1000.0, 1.0, 1.0, 30, PointTarget(0.0, 1.0))
-        closed = design_point_single(
-            h1, 0.0, gamma, 1000.0, 1.0, geom, alpha=1.0, frame_len=30, noise_radar=1.0
-        )
+        closed = design_point_single(scen)
         try:
             sdr_obj = design_point_multi(scen).objective
         except RankExcess as exc:
@@ -142,7 +140,7 @@ def test_criterion_4_closed_form_kkt():
         h_norm2 = float(np.real(h1.conj() @ h1))
         p_t, sigma = 1000.0, 1.0
         gamma = rng.uniform(0.05, 0.95) * p_t * h_norm2 / sigma
-        sol = design_extended_single(h1, gamma, p_t, sigma, geom)
+        sol = design_extended_single(h1, gamma, p_t, sigma, geom, frame_len=30, noise_radar=1.0)
         lam_u = sol.diagnostics["lambda_user"]
         lam_r = sol.diagnostics["lambda_rest"]
         evals = np.linalg.eigvalsh(sol.covariance)
@@ -161,8 +159,8 @@ def test_criterion_4_closed_form_kkt():
             worst = max(worst, abs(lam_u - lam_r) / lam_r)
         # branch continuity at the threshold
         gamma_star = p_t * h_norm2 / (n_tx * sigma)
-        below = design_extended_single(h1, gamma_star * (1 - 1e-14), p_t, sigma, geom)
-        at = design_extended_single(h1, gamma_star, p_t, sigma, geom)
+        below = design_extended_single(h1, gamma_star * (1 - 1e-14), p_t, sigma, geom, frame_len=30, noise_radar=1.0)
+        at = design_extended_single(h1, gamma_star, p_t, sigma, geom, frame_len=30, noise_radar=1.0)
         worst_edge = max(
             worst_edge,
             abs(below.diagnostics["lambda_user"] - at.diagnostics["lambda_user"]) / at.diagnostics["lambda_user"],

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from crbeam.cli import main
+from crbeam.arrays import PointTarget
+from crbeam.cli import _pair_to_complex, main
+from crbeam.designs import design_extended_single, design_point_single
 from crbeam.experiments import (
     ExperimentConfig,
     ResultTable,
     config_for,
+    draw_scenario,
     run_experiment,
     run_fig2,
     run_fig3,
@@ -203,6 +206,23 @@ class TestCliMain:
             main(argv)
         assert info.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["point", "extended"])
+    def test_one_user_design_is_the_closed_form(self, mode, tmp_path):
+        out = tmp_path / "sol.json"
+        assert main(["design", "--mode", mode, "--k", "1", "--seed", "5", "--sinr-db", "20", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        cfg = config_for("custom", n_users=1, seed=5, sinr_db=20.0)
+        if mode == "point":
+            want = design_point_single(draw_scenario(cfg, PointTarget(cfg.target_angle)))
+        else:
+            scen = draw_scenario(cfg, None)
+            want = design_extended_single(
+                scen.user_channel(0), scen.sinr_thresholds[0], scen.power_budget, scen.noise_comm, scen.geometry,
+                frame_len=scen.frame_len, noise_radar=scen.noise_radar,
+            )
+        assert payload["objective"] == want.objective
+        assert np.array_equal(_pair_to_complex(payload["beamformers"]), want.comm_beamformers)
 
     def test_infeasible_exit_code(self):
         code = main(["design", "--mode", "point", "--seed", "4", "--k", "6", "--sinr-db", "80"])

@@ -23,7 +23,10 @@ from crbeam.numerics import herm_eig, hermitize
 from crbeam.sdp import SdpProblem, SolveOptions, check_certificate, elem_im, elem_re, solve
 from crbeam.verify import check_kkt_point
 
-from conftest import assert_farkas_ray, complex_gaussian, lossless_extraction_error, make_scenario
+from conftest import (assert_farkas_ray, complex_gaussian, lossless_extraction_error, make_scenario,
+                      one_user_scenario)
+
+RADAR = {"frame_len": 30, "noise_radar": 1.0}   # the extended closed form's CRB scale
 
 
 def span_grid_oracle(h1, a, gamma, p_t, sigma_c2, n_rho=400, n_phi=360):
@@ -71,7 +74,7 @@ class TestPointSingle:
     def test_branch_one_aligned_channel(self):
         geom = ArrayGeometry(4, 6)
         a = steering(0.2, 4)
-        sol = design_point_single(a, 0.2, 2.0, 1.0, 1.0, geom)
+        sol = design_point_single(one_user_scenario(a, 2.0, geom, theta=0.2))
         assert np.allclose(sol.comm_beamformers[:, 0], a / 2, atol=1e-12)
         assert abs(a.conj() @ sol.comm_beamformers[:, 0]) ** 2 == pytest.approx(4.0, rel=1e-12)
         assert sol.achieved_sinrs[0] >= 2.0 * (1 - 1e-12)
@@ -80,7 +83,7 @@ class TestPointSingle:
         geom = ArrayGeometry(8, 10)
         h1 = complex_gaussian(rng, 8)
         p_t = 5.0
-        sol = design_point_single(h1, 0.1, 1e-9, p_t, 1.0, geom)
+        sol = design_point_single(one_user_scenario(h1, 1e-9, geom, p_t=p_t, theta=0.1))
         a = steering(0.1, 8)
         assert np.allclose(sol.comm_beamformers[:, 0], np.sqrt(p_t) * a / np.linalg.norm(a), atol=1e-10)
 
@@ -92,7 +95,7 @@ class TestPointSingle:
             # force the constrained branch: small steering correlation, high demand
             h1 = h1 - 0.9 * (a.conj() @ h1) / 6 * a
             gamma = 0.6 * np.real(h1.conj() @ h1) * 1.0  # P_T = 1
-            sol = design_point_single(h1, 0.0, gamma, 1.0, 1.0, geom)
+            sol = design_point_single(one_user_scenario(h1, gamma, geom))
             val = abs(a.conj() @ sol.comm_beamformers[:, 0]) ** 2
             oracle = span_grid_oracle(h1, a, gamma, 1.0, 1.0)
             assert val >= oracle * (1 - 1e-4)
@@ -107,7 +110,7 @@ class TestPointSingle:
             h1 = complex_gaussian(rng, 8)
             h_norm2 = np.real(h1.conj() @ h1)
             gamma = rng.uniform(0.2, 0.9) * h_norm2  # P_T = 1, sigma = 1
-            sol = design_point_single(h1, 0.0, gamma, 1.0, 1.0, geom)
+            sol = design_point_single(one_user_scenario(h1, gamma, geom))
             best_closed = abs(a.conj() @ sol.comm_beamformers[:, 0]) ** 2
             u1 = h1 / np.sqrt(h_norm2)
             n_probe = 100_000
@@ -129,13 +132,13 @@ class TestPointSingle:
         h1 = complex_gaussian(rng, 4)
         gamma = 2.0 * np.real(h1.conj() @ h1)  # needs more than P_T = 1
         with pytest.raises(Infeasible):
-            design_point_single(h1, 0.0, gamma, 1.0, 1.0, geom)
+            design_point_single(one_user_scenario(h1, gamma, geom))
 
     def test_parallel_channel_boundary(self):
         geom = ArrayGeometry(4, 6)
         a = steering(0.3, 4)
         # h parallel to a, demand exactly at the feasibility edge
-        sol = design_point_single(2.0 * a, 0.3, 16.0, 1.0, 1.0, geom)
+        sol = design_point_single(one_user_scenario(2.0 * a, 16.0, geom, theta=0.3))
         assert sol.achieved_sinrs[0] >= 16.0 * (1 - 1e-9)
 
 
@@ -143,7 +146,7 @@ class TestExtendedSingle:
     def test_isotropic_branch(self):
         geom = ArrayGeometry(2, 3)
         h1 = np.array([1.0, 1.0], dtype=complex)
-        sol = design_extended_single(h1, 0.5, 1.0, 1.0, geom)
+        sol = design_extended_single(h1, 0.5, 1.0, 1.0, geom, **RADAR)
         assert np.allclose(sol.covariance, 0.5 * np.eye(2), atol=1e-12)
         w1 = sol.comm_beamformers[:, 0]
         assert np.allclose(np.outer(w1, w1.conj()), 0.25 * np.outer(h1, h1.conj()), atol=1e-12)
@@ -151,7 +154,7 @@ class TestExtendedSingle:
     def test_constrained_branch_frozen_values(self):
         geom = ArrayGeometry(2, 3)
         h1 = np.array([1.0, 1.0], dtype=complex)
-        sol = design_extended_single(h1, 1.5, 1.0, 1.0, geom)
+        sol = design_extended_single(h1, 1.5, 1.0, 1.0, geom, **RADAR)
         assert sol.diagnostics["lambda_user"] == pytest.approx(0.75, rel=1e-12)
         assert sol.diagnostics["lambda_rest"] == pytest.approx(0.25, rel=1e-12)
         assert sol.diagnostics["trace_inverse"] == pytest.approx(16 / 3, rel=1e-12)
@@ -162,8 +165,8 @@ class TestExtendedSingle:
         h1 = complex_gaussian(rng, 6)
         h_norm2 = np.real(h1.conj() @ h1)
         gamma_star = 1.0 * h_norm2 / (6 * 1.0)
-        below = design_extended_single(h1, gamma_star * (1 - 1e-13), 1.0, 1.0, geom)
-        at = design_extended_single(h1, gamma_star, 1.0, 1.0, geom)
+        below = design_extended_single(h1, gamma_star * (1 - 1e-13), 1.0, 1.0, geom, **RADAR)
+        at = design_extended_single(h1, gamma_star, 1.0, 1.0, geom, **RADAR)
         assert abs(below.diagnostics["lambda_user"] - at.diagnostics["lambda_user"]) <= 1e-10
         assert abs(below.diagnostics["lambda_rest"] - at.diagnostics["lambda_rest"]) <= 1e-10
         assert np.allclose(below.covariance, at.covariance, atol=1e-10)
@@ -172,27 +175,32 @@ class TestExtendedSingle:
         geom = ArrayGeometry(5, 7)
         h1 = complex_gaussian(rng, 5)
         gamma = 0.8 * np.real(h1.conj() @ h1)
-        sol = design_extended_single(h1, gamma, 1.0, 1.0, geom)
+        sol = design_extended_single(h1, gamma, 1.0, 1.0, geom, **RADAR)
         w1 = sol.comm_beamformers
         rebuilt = w1 @ w1.conj().T + sol.aux_beamformer @ sol.aux_beamformer.conj().T
         assert np.linalg.norm(rebuilt - sol.covariance) <= 1e-10 * np.real(np.trace(sol.covariance))
+
+    def test_singular_boundary_has_no_objective(self):
+        # the SINR target takes the whole budget: nothing is left for the complement
+        geom = ArrayGeometry(2, 3)
+        h1 = np.array([1.0, 1.0], dtype=complex)
+        sol = design_extended_single(h1, 2.0, 1.0, 1.0, geom, **RADAR)
+        assert sol.diagnostics["lambda_rest"] == 0.0
+        assert sol.diagnostics["trace_inverse"] == np.inf
+        assert sol.objective is None
 
     def test_infeasible(self, rng):
         geom = ArrayGeometry(4, 6)
         h1 = complex_gaussian(rng, 4)
         with pytest.raises(Infeasible):
-            design_extended_single(h1, 3.0 * np.real(h1.conj() @ h1), 1.0, 1.0, geom)
+            design_extended_single(h1, 3.0 * np.real(h1.conj() @ h1), 1.0, 1.0, geom, **RADAR)
 
 
 class TestPointMulti:
     def test_single_user_collapse(self, rng):
         for _ in range(3):
             scen = make_scenario(rng, k=1, n_tx=8, n_rx=10, gamma_db=20.0)
-            h1 = scen.user_channel(0)
-            closed = design_point_single(
-                h1, 0.0, scen.sinr_thresholds[0], scen.power_budget, scen.noise_comm,
-                scen.geometry, alpha=1.0, frame_len=scen.frame_len, noise_radar=scen.noise_radar,
-            )
+            closed = design_point_single(scen)
             try:
                 sdr = design_point_multi(scen)
                 obj = sdr.objective
@@ -322,9 +330,30 @@ class TestPointMulti:
 @pytest.mark.parametrize("target", [None, ExtendedTarget(np.ones((6, 4)))], ids=["none", "extended"])
 def test_input_checks(target):
     scen = Scenario(ArrayGeometry(4, 6), np.ones((2, 4)), [1.0, 1.0], 1.0, 1.0, 1.0, 8, target)
-    for call in (build_point_sdp, design_point_multi):
+    for call in (build_point_sdp, design_point_multi, design_point_single):
         with pytest.raises(ValueError, match="point design needs a PointTarget"):
             call(scen)
+
+
+def test_point_closed_form_needs_one_user():
+    scen = Scenario(ArrayGeometry(4, 6), np.ones((2, 4)), [1.0, 1.0], 1.0, 1.0, 1.0, 8, PointTarget(0.0))
+    with pytest.raises(ValueError, match="one user"):
+        design_point_single(scen)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(4, 8), st.data(), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+def test_point_multi_meets_its_kkt_system_or_raises_a_design_error(n, data, gamma_db, seed):
+    # on random scenarios the design is a KKT point of its SDR, or ends in one of its typed errors
+    k = data.draw(st.integers(1, n - 1))
+    scen = make_scenario(np.random.default_rng(seed), k=k, n_tx=n, n_rx=n + 2, gamma_db=gamma_db)
+    try:
+        sol = design_point_multi(scen)
+    except (Infeasible, RankExcess, SolverFailure):
+        return
+    assert np.isfinite(sol.objective)
+    assert np.all(np.isfinite(sol.comm_beamformers)) and np.all(np.isfinite(sol.achieved_sinrs))
+    assert check_kkt_point(sol, None, scen).max_residual() <= 1e-6
 
 
 def outer_products(beamformers):

@@ -86,6 +86,12 @@ class TestPsdSqrt:
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
+    def test_negative_definite_noise_and_rejection(self):
+        # with no positive eigenvalue the floor is -1e-14: roundoff below zero clips, more raises
+        assert np.array_equal(psd_sqrt(-1e-20 * np.eye(3, dtype=complex)), np.zeros((3, 3)))
+        with pytest.raises(NotPSD):
+            psd_sqrt(-1e-3 * np.eye(3, dtype=complex))
+
 
 @pytest.mark.parametrize("call, exc, match", [
     (lambda: assert_hermitian(np.ones((2, 3)), "block"), NonHermitian, r"block is not square: shape \(2, 3\)"),

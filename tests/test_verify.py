@@ -131,13 +131,10 @@ class TestKktPoint:
         from crbeam.designs import design_point_single
 
         scen = make_scenario(rng, k=1, n_tx=8, n_rx=10, gamma_db=18.0)
-        h1 = scen.user_channel(0)
         sol = design_point_multi(scen)
         report = check_kkt_point(sol, None, scen)
         assert report.max_residual() <= 1e-6
-        closed = design_point_single(
-            h1, 0.0, scen.sinr_thresholds[0], scen.power_budget, scen.noise_comm, scen.geometry
-        )
+        closed = design_point_single(scen)
         w_sdp = sol.comm_beamformers[:, 0]
         w_closed = closed.comm_beamformers[:, 0]
         align = np.vdot(w_sdp, w_closed)
