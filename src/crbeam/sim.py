@@ -1,6 +1,9 @@
 """Signal-level simulation: stream synthesis, echoes, ML estimation, Monte Carlo.
 
-Per-trial randomness is derived from a single experiment seed through
+The estimators are exact for any transmitted frame X; neither assumes the
+streams' Gram property.  Monte Carlo builds one ``PointMle`` per frame and
+shares only the grid's steering matrices across trials.  Per-trial
+randomness is derived from a single experiment seed through
 ``numpy.random.SeedSequence`` spawning: trial i draws only from child i,
 so a run's statistics depend on the seed and the trial count alone.
 """
@@ -72,13 +75,14 @@ class GridSpec:
 
 
 class PointMle:
-    """Concentrated-likelihood grid search for (theta, alpha), reusable across trials.
+    """Concentrated-likelihood grid search for (theta, alpha) on one frame X.
 
     For each candidate angle the reflection coefficient is profiled out in
-    closed form, leaving the matched-filter energy |<b a^H X, Y>|^2 /
-    ||b a^H X||_F^2 to maximize; a three-point parabolic fit refines the
-    grid argmax.  ``basis`` carries precomputed grid steering matrices so
-    Monte Carlo loops pay the grid cost once.
+    closed form, leaving |b^H (Y X^H) a|^2 / (N_r a^H (X X^H) a) to
+    maximize; a three-point parabolic fit refines the grid argmax.  The
+    frame enters only through X X^H, formed here, and Y X^H, formed per
+    echo, so the estimate is exact for any X.  ``basis`` holds the grid
+    steering matrices, which a Monte Carlo loop builds once for all frames.
     """
 
     @staticmethod
@@ -91,30 +95,19 @@ class PointMle:
         self.grid = grid
         self.geometry = geometry
         self.angles, self.a_grid, self.b_grid = basis if basis is not None else PointMle.basis(grid, geometry)
-        self.u_grid = self.a_grid.conj().T @ tx                      # (G, L)
-        self.u_norm2 = np.sum(np.abs(self.u_grid) ** 2, axis=1)       # ||a^H X||^2
-        if np.max(self.u_norm2) <= 0.0:
+        self.gram = tx @ tx.conj().T                                  # X X^H
+        self.denom = self._denom(self.a_grid)
+        if np.max(self.denom) <= 0.0:
             raise DegenerateSignal("a(theta)^H X vanishes on the whole grid")
 
-    def _metric_terms(self, y: np.ndarray):
-        m = y @ self.u_grid.conj().T                 # (N_r, G), column g = Y (a_g^H X)^H
-        num = np.einsum("ig,ig->g", self.b_grid.conj(), m)
-        denom = self.geometry.n_rx * self.u_norm2
-        return num, denom
-
-    def _metric_at(self, theta: float, y: np.ndarray):
-        a = steering(theta, self.geometry.n_tx)
-        b = steering(theta, self.geometry.n_rx)
-        u = a.conj() @ self.tx
-        nrm = self.geometry.n_rx * float(np.real(u.conj() @ u))
-        if nrm <= 0.0:
-            return 0.0, 0.0 + 0.0j, 1.0
-        num = complex(b.conj() @ (y @ u.conj()))
-        return abs(num) ** 2 / nrm, num, nrm
+    def _denom(self, a: np.ndarray):
+        """N_r a^H (X X^H) a for a steering vector, or per column of a matrix of them."""
+        return self.geometry.n_rx * np.real(np.einsum("t...,t...->...", a.conj(), self.gram @ a))
 
     def estimate(self, y: np.ndarray) -> Tuple[float, complex]:
-        num, denom = self._metric_terms(y)
-        metric = np.abs(num) ** 2 / np.maximum(denom, 1e-300)
+        yx = y @ self.tx.conj().T                                     # Y X^H
+        num = np.einsum("rg,rg->g", self.b_grid.conj(), yx @ self.a_grid)
+        metric = np.divide(np.abs(num) ** 2, self.denom, out=np.zeros_like(self.denom), where=self.denom > 0)
         g = int(np.argmax(metric))
         theta = float(self.angles[g])
         if 0 < g < metric.size - 1:
@@ -122,9 +115,11 @@ class PointMle:
             curv = m_m - 2 * m_0 + m_p
             if curv < 0:
                 theta += 0.5 * self.grid.step * (m_m - m_p) / curv
-        _, num_hat, nrm_hat = self._metric_at(theta, y)
-        alpha = num_hat / nrm_hat
-        return theta, complex(alpha)
+        a = steering(theta, self.geometry.n_tx)
+        nrm = self._denom(a)
+        if nrm <= 0.0:
+            return theta, 0j
+        return theta, complex(steering(theta, self.geometry.n_rx).conj() @ yx @ a) / nrm
 
 
 def mle_extended(y: np.ndarray, tx: np.ndarray) -> np.ndarray:

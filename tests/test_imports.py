@@ -1,5 +1,5 @@
 """Every name a ``crbeam`` module imports is used in that module, and every
-private module-level name the package defines is read somewhere in it.
+private module-level name or method the package defines is read somewhere in it.
 
 No linter runs on this repository, so these stand in for two of its rules:
 an import, or a private helper or constant, left behind after the code
@@ -42,20 +42,23 @@ def test_detects_an_unused_import():
 
 def unread_private_names(sources: dict) -> list:
     """(module, line, name) for each module-level ``_name`` function, class or
-    constant defined in ``sources`` (module name -> source) that none of them reads."""
+    constant, or ``_name`` method of a module-level class, defined in ``sources``
+    (module name -> source) that none of them reads."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                names = [(node.lineno, node.name)]
+                if isinstance(node, ast.ClassDef):
+                    names += [(m.lineno, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t)
+                names = [(node.lineno, n.id) for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
             else:
                 names = []
-            defined += [(module, node.lineno, name) for name in names
+            defined += [(module, line, name) for line, name in names
                         if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -72,7 +75,10 @@ def test_no_unread_private_names():
 
 def test_detects_an_unread_private_name():
     sources = {
-        "a.py": "_LIMIT = 3\n_A, _B = 1, 2\n__all__ = []\ndef _used():\n    return _A\nclass _Gone:\n    pass\n",
+        "a.py": "_LIMIT = 3\n_A, _B = 1, 2\n__all__ = []\ndef _used():\n    return _A\nclass _Gone:\n    pass\n"
+                "class Kept:\n    def __init__(self):\n        self._helper()\n"
+                "    def _helper(self):\n        pass\n    def _stale(self):\n        pass\n",
         "b.py": "from . import a\n_x: int = a._used() + a._LIMIT\n",
     }
-    assert unread_private_names(sources) == [("a.py", 2, "_B"), ("a.py", 6, "_Gone"), ("b.py", 2, "_x")]
+    assert unread_private_names(sources) == [("a.py", 2, "_B"), ("a.py", 6, "_Gone"), ("a.py", 13, "_stale"),
+                                             ("b.py", 2, "_x")]

@@ -5,6 +5,7 @@ from crbeam.arrays import ArrayGeometry, ExtendedTarget, PointTarget, response_p
 from crbeam.errors import DegenerateSignal, DimensionMismatch, SingularGram, TooManyStreams
 from crbeam.metrics import crb_extended, radar_alpha_from_snr, db_to_linear
 from crbeam.sim import (
+    DEG,
     GridSpec,
     PointMle,
     gen_streams,
@@ -126,6 +127,24 @@ class TestPointMle:
             theta_hat, _ = PointMle(x, GridSpec(), scen.geometry).estimate(y)
             errs.append(abs(theta_hat))
         assert errs[0] > errs[1] > errs[2]
+
+    def test_exact_on_any_frame(self, rng):
+        # an i.i.d. Gaussian frame is not W S: (1/L) X X^H is no design covariance
+        geom = ArrayGeometry(6, 8)
+        grid = GridSpec(half_width=5 * DEG, step=0.1 * DEG)
+        x = complex_gaussian(rng, (6, 20))
+        y = radar_echo(x, PointTarget(1.3 * DEG, 0.4 - 0.7j), 0.5, geom, rng)
+        theta_hat, alpha_hat = PointMle(x, grid, geom).estimate(y)
+        a, b = steering(theta_hat, 6), steering(theta_hat, 8)
+        u = a.conj() @ x
+        assert alpha_hat == pytest.approx(b.conj() @ y @ u.conj() / (8 * np.vdot(u, u).real), rel=1e-12)
+
+        def metric(theta):  # |<b a^H X, Y>|^2 / (N_r ||a^H X||^2), from the definition
+            u = steering(theta, 6).conj() @ x
+            return abs(np.vdot(np.outer(steering(theta, 8), u), y)) ** 2 / (8 * np.vdot(u, u).real)
+
+        best = max(grid.angles(), key=metric)
+        assert abs(theta_hat - best) <= grid.step
 
     def test_degenerate_signal(self, rng):
         geom = ArrayGeometry(4, 6)
