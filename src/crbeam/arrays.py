@@ -29,7 +29,7 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class PointTarget:
-    """Far-field target: azimuth angle (rad) and complex reflection coefficient."""
+    """Far-field target: azimuth angle (rad) in (-pi/2, pi/2) and finite complex reflection coefficient."""
 
     theta: float
     alpha: complex = 1.0 + 0.0j
@@ -37,6 +37,8 @@ class PointTarget:
     def __post_init__(self):
         if not -np.pi / 2 < self.theta < np.pi / 2:
             raise ValueError(f"theta must lie in (-pi/2, pi/2), got {self.theta}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

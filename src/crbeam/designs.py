@@ -84,13 +84,12 @@ def design_point_single(scenario: Scenario) -> DesignSolution:
         x2 = np.sqrt(p_t - gamma1 * sigma_c2 / h_norm2) * au_a / max(abs(au_a), 1e-300)
         w1 = x1 * u1 + x2 * a_u
     r_x = np.outer(w1, w1.conj())
-    sinr = abs(h1.conj() @ w1) ** 2 / sigma_c2
     directivity = float(abs(a.conj() @ w1) ** 2)
     return DesignSolution(
         comm_beamformers=w1.reshape(-1, 1),
         covariance=r_x,
         aux_beamformer=None,
-        achieved_sinrs=np.array([sinr]),
+        achieved_sinrs=achieved_sinrs(w1.reshape(-1, 1), None, scenario.channels, sigma_c2),
         objective=crb_point_theta(r_x, target.theta, target.alpha, scenario),
         diagnostics={"method": "closed_form_point", "directivity": directivity},
     )
@@ -125,21 +124,20 @@ def design_extended_single(
     else:
         lam_user = gamma1 * sigma_c2 / h_norm2
         lam_rest = (p_t * h_norm2 - gamma1 * sigma_c2) / (h_norm2 * (n_t - 1))
-    w1 = np.sqrt(lam_user) * u1
+    w1 = np.sqrt(lam_user) * u1.reshape(-1, 1)
     w_1_mat = lam_user * np.outer(u1, u1.conj())
     r_x = lam_rest * np.eye(n_t, dtype=complex) + (lam_user - lam_rest) * np.outer(u1, u1.conj())
     w_a = psd_sqrt(hermitize(r_x - w_1_mat))
-    sinr = abs(h1.conj() @ w1) ** 2 / (np.sum(np.abs(h1.conj() @ w_a) ** 2) + sigma_c2)
     if lam_rest > 0:
         trace_inv = 1.0 / lam_user + (n_t - 1) / lam_rest
         objective = noise_radar * geometry.n_rx / frame_len * trace_inv
     else:
         trace_inv, objective = np.inf, None
     return DesignSolution(
-        comm_beamformers=w1.reshape(-1, 1),
+        comm_beamformers=w1,
         covariance=r_x,
         aux_beamformer=w_a,
-        achieved_sinrs=np.array([sinr]),
+        achieved_sinrs=achieved_sinrs(w1, w_a, h1.conj()[None, :], sigma_c2),
         objective=objective,
         diagnostics={
             "method": "closed_form_extended",
@@ -189,6 +187,15 @@ def _lift(x_hat: np.ndarray, basis: np.ndarray, perp=None) -> np.ndarray:
     return hermitize(x)
 
 
+def _infeasible(msg: str, scenario: Scenario, build: Callable[[Scenario], SdpProblem], tail: np.ndarray) -> Infeasible:
+    """Infeasible with the ray of the full-size SDR ``build(scenario)`` that is ``tail`` on its last
+    K + 1 rows (the SINR rows, then the power row, as _add_sinr_and_power_rows appends them), else 0."""
+    p = build(scenario)
+    y = np.zeros(len(p.constraints))
+    y[-len(tail):] = tail
+    return Infeasible(msg, certificate=dual_ray_certificate(p, y))
+
+
 def _check_least_power(scenario: Scenario, build: Callable[[Scenario], SdpProblem]) -> None:
     """Raise Infeasible with a Farkas ray of the full-size SDR ``build(scenario)``
     when the least power that meets every SINR target exceeds the budget.
@@ -202,7 +209,9 @@ def _check_least_power(scenario: Scenario, build: Callable[[Scenario], SdpProble
     when e < 0, else 1) is feasible for the dual of power minimisation.
     Then y = s lambda_k / gamma_k on SINR row k, -1 on the power row and 0
     elsewhere gives -sum y_i C_i = M(s lambda) - c_k s lambda_k h_k h_k^H on
-    W_k and M(s lambda) on WA, and b^T y = sigma^2 s sum lambda - P.  Returns
+    W_k and M(s lambda) on WA, and b^T y = sigma^2 s sum lambda - P.  A
+    user with a zero channel needs infinite power: y = 1 on its SINR row
+    alone has -sum y_i C_i = 0 and b^T y = gamma_k sigma^2 > 0.  Returns
     when Newton converges or breaks down before the bound is passed.  In the
     window P < least power <= P (1 + LEAST_POWER_MARGIN) nothing is certified:
     the SDR then designs within its tolerance or raises SolverFailure.
@@ -213,7 +222,11 @@ def _check_least_power(scenario: Scenario, build: Callable[[Scenario], SdpProble
     c = 1.0 + 1.0 / gamma
     sigma2 = scenario.noise_comm
     bound = scenario.power_budget * (1.0 + LEAST_POWER_MARGIN)
-    lam = 1.0 / (c * np.sum(np.abs(h) ** 2, axis=0))
+    h_norm2 = np.sum(np.abs(h) ** 2, axis=0)
+    if np.any(h_norm2 == 0):
+        i = int(np.argmin(h_norm2))
+        raise _infeasible(f"user {i + 1} has a zero channel", scenario, build, np.eye(k + 1)[i])
+    lam = 1.0 / (c * h_norm2)
     for _ in range(LEAST_POWER_MAX_ITER):
         m = np.eye(h.shape[0]) + (h * lam) @ h.conj().T
         try:
@@ -224,16 +237,8 @@ def _check_least_power(scenario: Scenario, build: Callable[[Scenario], SdpProble
             e = float(np.linalg.eigvalsh(m - np.einsum("ik,jk,k->kij", h, h.conj(), c * lam))[:, 0].min())
             s = 1.0 if e >= 0 else 1.0 / (1.0 - e)
             if sigma2 * s * lam.sum() > bound:
-                # the last K + 1 rows, as _add_sinr_and_power_rows appends them
-                p = build(scenario)
-                y = np.zeros(len(p.constraints))
-                y[-k - 1 : -1] = s * lam / gamma
-                y[-1] = -1.0
-                raise Infeasible(
-                    f"SINR targets need at least {sigma2 * s * lam.sum():.6g} mW, "
-                    f"budget is {scenario.power_budget:.6g}",
-                    certificate=dual_ray_certificate(p, y),
-                )
+                raise _infeasible(f"SINR targets need at least {sigma2 * s * lam.sum():.6g} mW, budget is "
+                                  f"{scenario.power_budget:.6g}", scenario, build, np.append(s * lam / gamma, -1.0))
         x = np.real(np.diag(g))
         phi = np.log(c * lam * x)
         if np.max(np.abs(phi)) <= LEAST_POWER_TOL:
@@ -449,12 +454,14 @@ def build_extended_sdp(scenario: Scenario, basis: Optional[np.ndarray] = None) -
     [sqrt m, c]] (two rows fix its off-diagonal) for the complement of
     span Q: tau joins the objective and m c the power row.  The lift
     R_X = Q R^ Q^H + c (I - Q Q^H), T = Q T^ Q^H + (tau / m)(I - Q Q^H)
-    keeps every row, the objective and E's PSD-ness.  This reduction is
-    exact: a unitary that fixes every h_k maps the full SDR's optimal
-    points to optimal points, and tr R^-1 is strictly convex, so the
-    optimal R_X commutes with all of them and has this form, as the
-    single-user closed form does with its ``lambda_rest``.  Without a basis
-    the blocks are N_t x N_t and there is no C.
+    keeps every row, the objective and E's PSD-ness; ``_lift_extended``
+    lifts a solution so and reads its multipliers off the lifted dual
+    slacks.  This reduction is exact: a unitary that fixes every h_k maps
+    the full SDR's optimal points to optimal points, and tr R^-1 is
+    strictly convex, so the optimal R_X commutes with all of them and has
+    this form, as the single-user closed form does with its
+    ``lambda_rest``.  Without a basis the blocks are N_t x N_t and there
+    is no C.
     """
     n_t, k = scenario.geometry.n_tx, scenario.n_users
     channels = _in_basis(basis, [scenario.user_channel(i) for i in range(k)])
@@ -494,17 +501,8 @@ def _extended_basis(scenario: Scenario) -> np.ndarray:
     return np.linalg.qr(np.column_stack([scenario.user_channel(i) for i in range(scenario.n_users)]))[0]
 
 
-def _epigraph_multipliers(y: np.ndarray, n: int) -> np.ndarray:
-    """sum_i y_i C_i over the rows on E, on E: y holds their multipliers in build order."""
-    i, j, imag = np.array(_epigraph_rows(n), dtype=int).T
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    np.add.at(m, (i, j), np.where(imag, 0.5j, 0.5) * y)
-    np.add.at(m, (j, i), np.where(imag, -0.5j, 0.5) * y)
-    return m
-
-
 def _epigraph_row_values(m: np.ndarray, n: int) -> np.ndarray:
-    """The multipliers y of the rows on E with sum_i y_i C_i = m (Hermitian, zero where no row reaches)."""
+    """The multipliers y of the rows on E with sum_i y_i C_i = m where a row reaches (m Hermitian)."""
     i, j, imag = np.array(_epigraph_rows(n), dtype=int).T
     return np.where(imag, 2 * m[i, j].imag, np.where(i == j, 1.0, 2.0) * m[i, j].real)
 
@@ -518,35 +516,28 @@ def _lift_extended(sol: SdpSolution, basis: np.ndarray, k: int) -> SdpSolution:
     split is optimal; the even one is the analytic centre of the splits,
     the point an interior-point solve of the full SDR converges to.  E
     takes its complement from C scaled to one dimension, [[tau / m,
-    C_01 / sqrt m], [., c]].
+    C_01 / sqrt m], [., c]], and its dual slack from C's, [[Z_00,
+    Z_01 / sqrt m], [., Z_11 / m]]; Z_k = Q Z^_k Q^H, as for WA.
 
-    The SINR and power rows keep their multipliers.  The rows on E get
-    theirs from sum_i y_i C_i on E, lifted with the complement [[0, g],
-    [g*, y_P]]: g = (y_Re + i y_Im) / (2 sqrt m) from C's two rows keeps
-    b^T y, and y_P, the power row's multiplier, makes the complement of
-    every dual slack Z_W zero, so E's dual slack there is C's scaled as
-    well, [[Z_00, Z_01 / sqrt m], [., Z_11 / m]].  (At the optimum
-    -y_P = 1 / c^2.)
+    The SINR and power rows keep their multipliers.  Only the 3 N_t^2
+    rows on E reach E, so their sum_i y_i C_i there is C_E - Z_E, with
+    C_E = [[I, 0], [0, 0]] E's objective; their multipliers are read off it.
     """
     n_t, n = basis.shape
     m = n_t - n
-    y = sol.dual_multipliers
-    n_rows = 3 * n * n
-    y_e = _epigraph_multipliers(y[:n_rows], n)
-    x_perp = z_perp = y_perp = None
+    x_perp = z_perp = None
     if m > 0:
         x_c, z_c = sol.primal_blocks["C"], sol.dual_blocks["C"]
         to_x, to_z = np.diag([1 / np.sqrt(m), 1.0]), np.diag([1.0, 1 / np.sqrt(m)])
         x_perp, z_perp = to_x @ x_c @ to_x, to_z @ z_c @ to_z
-        g = (y[n_rows] + 1j * y[n_rows + 1]) / (2 * np.sqrt(m))
-        y_perp = np.array([[0.0, g], [np.conj(g), y[-1]]])
     names = [f"W{i+1}" for i in range(k)] + ["WA"]
     share = None if x_perp is None else x_perp[1, 1].real / len(names)
     primal = {name: _lift(sol.primal_blocks[name], basis, share) for name in names}
     primal["E"] = _lift(sol.primal_blocks["E"], basis, x_perp)
     dual = {name: _lift(sol.dual_blocks[name], basis) for name in names}
     dual["E"] = _lift(sol.dual_blocks["E"], basis, z_perp)
-    y_full = np.concatenate([_epigraph_row_values(_lift(y_e, basis, y_perp), n_t), y[-k - 1:]])
+    c_e = np.kron(np.diag([1.0, 0.0]), np.eye(n_t))
+    y_full = np.concatenate([_epigraph_row_values(c_e - dual["E"], n_t), sol.dual_multipliers[-k - 1:]])
     return replace(sol, primal_blocks=primal, dual_blocks=dual, dual_multipliers=y_full)
 
 

@@ -22,7 +22,8 @@ class Scenario:
     """Channel/target description shared by designers, metrics and simulation.
 
     ``channels`` has one row per user, storing h_k^H (so ``channels @ w``
-    is the vector of per-user received amplitudes).
+    is the vector of per-user received amplitudes).  ``ValueError`` rejects a non-finite channel,
+    threshold, power or noise level, a non-positive one, K < N_t < N_r broken and L <= N_t.
     """
 
     geometry: ArrayGeometry
@@ -42,6 +43,9 @@ class Scenario:
             raise DimensionMismatch(f"channel columns {n_t} != n_tx {self.geometry.n_tx}")
         if self.sinr_thresholds.shape != (k,):
             raise DimensionMismatch("one SINR threshold per user required")
+        for name in ("channels", "sinr_thresholds", "power_budget", "noise_comm", "noise_radar"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not k < self.geometry.n_tx < self.geometry.n_rx:
             raise ValueError(f"require K < N_t < N_r, got {k}, {self.geometry.n_tx}, {self.geometry.n_rx}")
         if self.frame_len <= self.geometry.n_tx:
@@ -100,8 +104,10 @@ def _fim_bracket(r_x, theta, geometry):
 
 
 def crb_point_theta(r_x: np.ndarray, theta: float, alpha: complex, scenario: Scenario) -> float:
-    """Angle estimation bound (rad^2) for a point target under covariance ``r_x``."""
+    """Angle bound (rad^2) for a point target under covariance ``r_x``; SingularFIM at alpha = 0."""
     assert_hermitian(r_x, what="R_X")
+    if alpha == 0:
+        raise SingularFIM("zero reflection coefficient: the angle information vanishes")
     t_aa, _, bracket = _fim_bracket(r_x, theta, scenario.geometry)
     num = scenario.noise_radar * t_aa
     return num / (2 * abs(alpha) ** 2 * scenario.frame_len * bracket)

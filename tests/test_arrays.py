@@ -129,7 +129,9 @@ class TestValidation:
     (lambda: target_response(ExtendedTarget(np.ones((4, 4))), ArrayGeometry(4, 6)), DimensionMismatch,
      r"response shape \(4, 4\) != \(6, 4\)"),
     (lambda: target_response(0.3, ArrayGeometry(4, 6)), TypeError, "unsupported target type"),
-], ids=["steering_deriv", "response_shape", "target_type"])
+    (lambda: PointTarget(0.3, np.nan), ValueError, "alpha must be finite"),
+    (lambda: PointTarget(0.3, complex(0.0, np.inf)), ValueError, "alpha must be finite"),
+], ids=["steering_deriv", "response_shape", "target_type", "alpha_nan", "alpha_inf"])
 def test_input_checks(call, exc, match):
     with pytest.raises(exc, match=match):
         call()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crbeam.arrays import ArrayGeometry, PointTarget, steering, steering_deriv
+from crbeam.designs import design_point_multi, design_point_single
 from crbeam.errors import DimensionMismatch, SingularCovariance, SingularFIM
 from crbeam.metrics import (
     Scenario,
@@ -16,6 +17,7 @@ from crbeam.metrics import (
     point_traces,
     radar_alpha_from_snr,
 )
+from crbeam.sim import monte_carlo_point
 
 from conftest import complex_gaussian, make_scenario, random_psd
 
@@ -148,6 +150,17 @@ class TestPointCrb:
         r_x = np.outer(da, da.conj()) / np.real(da.conj() @ da)
         with pytest.raises(SingularFIM):
             crb_point_theta(r_x, 0.0, 1.0, scen)
+
+    def test_zero_reflection_has_no_angle_information(self):
+        # the angle information scales with |alpha|^2
+        scen = make_scenario(np.random.default_rng(0), k=1, n_tx=4, n_rx=6, target=PointTarget(0.3, 0.0))
+        r_x = np.eye(4, dtype=complex)
+        with pytest.raises(SingularFIM, match="zero reflection coefficient"):
+            crb_point_theta(r_x, 0.3, 0.0, scen)
+        for call in (design_point_single, design_point_multi,
+                     lambda s: monte_carlo_point(s, np.eye(4, 1, dtype=complex), trials=1, seed=0)):
+            with pytest.raises(SingularFIM, match="zero reflection coefficient"):
+                call(scen)
 
     def test_alpha_bound_positive(self, rng):
         scen = make_scenario(rng, k=2, n_tx=4, n_rx=6)
@@ -307,6 +320,13 @@ class TestScenario:
         ({"noise_comm": -1.0}, ValueError, "powers must be strictly positive"),
         ({"noise_radar": 0.0}, ValueError, "powers must be strictly positive"),
         ({"sinr_thresholds": [10.0, 0.0]}, ValueError, "SINR thresholds must be strictly positive"),
+        ({"channels": np.full((2, 4), np.nan)}, ValueError, "channels must be finite"),
+        ({"sinr_thresholds": [10.0, np.nan]}, ValueError, "sinr_thresholds must be finite"),
+        ({"sinr_thresholds": [np.inf, 10.0]}, ValueError, "sinr_thresholds must be finite"),
+        ({"power_budget": np.nan}, ValueError, "power_budget must be finite"),
+        ({"power_budget": np.inf}, ValueError, "power_budget must be finite"),
+        ({"noise_comm": np.inf}, ValueError, "noise_comm must be finite"),
+        ({"noise_radar": np.nan}, ValueError, "noise_radar must be finite"),
     ])
     def test_input_checks(self, change, exc, match):
         args = dict(geometry=ArrayGeometry(4, 6), channels=np.ones((2, 4)), sinr_thresholds=[10.0, 10.0],
