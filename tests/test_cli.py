@@ -234,6 +234,10 @@ class TestCliMain:
         code = main(["run", "--config", str(bad)])
         assert code == 4
 
+    def test_zero_trials_is_a_config_error(self, capsys):
+        assert main(["run", "--experiment", "fig4", "--trials", "0"]) == 4
+        assert "trials must be at least 1" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "out.json"
         code = main(["run", "--experiment", "fig3", "--seed", "9", "--format", "json", "--out", str(out)])

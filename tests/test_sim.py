@@ -5,9 +5,11 @@ from crbeam.arrays import ArrayGeometry, ExtendedTarget, PointTarget, response_p
 from crbeam.errors import DegenerateSignal, DimensionMismatch, SingularGram, TooManyStreams
 from crbeam.metrics import crb_extended, radar_alpha_from_snr, db_to_linear
 from crbeam.sim import (
+    _CHUNK,
     DEG,
     GridSpec,
     PointMle,
+    _lag_sums,
     gen_streams,
     mle_extended,
     monte_carlo_extended,
@@ -172,6 +174,95 @@ class TestPointMle:
         assert r1 == r2
 
 
+class TestStackedKernels:
+    """A stack of frames gives what the single-frame calls give frame by frame."""
+
+    @pytest.mark.parametrize("n_tx, n_rx", [(6, 8), (6, 9)], ids=["even lag offset", "odd lag offset"])
+    def test_lag_metric_matches_the_definition(self, n_tx, n_rx, rng):
+        geom = ArrayGeometry(n_tx, n_rx)
+        grid = GridSpec(center=0.3, half_width=20 * DEG, step=0.5 * DEG)
+        x = complex_gaussian(rng, (n_tx, 20))
+        y = radar_echo(x, PointTarget(0.35, 0.4 - 0.7j), 0.5, geom, rng)
+        est = PointMle(x, grid, geom)
+        metric = np.abs(_lag_sums(y @ x.conj().T) @ est.num_phases) ** 2 / est.denom
+        u = steering(grid.angles(), n_tx).conj().T @ x                      # rows a(theta)^H X
+        b = steering(grid.angles(), n_rx)
+        want = [abs(np.vdot(np.outer(b[:, g], u[g]), y)) ** 2 / (n_rx * np.vdot(u[g], u[g]).real)
+                for g in range(grid.angles().size)]
+        assert np.allclose(metric, want, rtol=1e-12, atol=0)
+
+    def test_point_mle_stack_matches_single_frames(self, rng):
+        geom = ArrayGeometry(8, 10)
+        grid = GridSpec(half_width=6 * DEG, step=0.1 * DEG)
+        w = complex_gaussian(rng, (8, 3))
+        rngs = [np.random.default_rng(s) for s in range(7)]
+        x = synth_tx(w, gen_streams(3, 16, rngs))
+        y = radar_echo(x, PointTarget(1.1 * DEG, 0.3 + 0.2j), 0.2, geom, rngs)
+        theta, alpha = PointMle(x, grid, geom).estimate(y)
+        single_theta, single_alpha = np.array([PointMle(xi, grid, geom).estimate(yi) for xi, yi in zip(x, y)]).T
+        assert theta.shape == alpha.shape == (7,)
+        # the refinement moves theta by at most half a step from its grid argmax
+        assert np.array_equal(np.rint(theta / grid.step), np.rint(single_theta.real / grid.step))
+        assert np.allclose(theta, single_theta.real, rtol=0, atol=1e-12)
+        assert np.allclose(alpha, single_alpha, rtol=1e-12, atol=0)
+
+    def test_no_refinement_at_the_grid_edges(self, rng):
+        # targets outside the window put the argmax on its first and last angles
+        geom = ArrayGeometry(8, 10)
+        grid = GridSpec(half_width=2 * DEG, step=0.1 * DEG)
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        x = synth_tx(complex_gaussian(rng, (8, 3)), gen_streams(3, 16, rngs))
+        y = radar_echo(x, [PointTarget(-5 * DEG), PointTarget(5 * DEG)], 0.0, geom, rngs)
+        theta, _ = PointMle(x, grid, geom).estimate(y)
+        assert np.array_equal(theta, grid.angles()[[0, -1]])
+
+    def test_mle_extended_stack_matches_single_frames(self, rng):
+        geom = ArrayGeometry(4, 6)
+        w = complex_gaussian(rng, (4, 4)) + 2 * np.eye(4)
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        targets = [ExtendedTarget.random(geom, r) for r in rngs]
+        x = synth_tx(w, gen_streams(4, 12, rngs))
+        y = radar_echo(x, targets, 0.5, geom, rngs)
+        g_hat = mle_extended(y, x)
+        for xi, yi, gi in zip(x, y, g_hat):
+            assert np.allclose(gi, mle_extended(yi, xi), rtol=0, atol=1e-12 * np.abs(gi).max())
+
+    @pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1])
+    def test_monte_carlo_point_matches_a_single_frame_loop(self, trials, rng):
+        scen = make_scenario(rng, k=2, n_tx=8, n_rx=10, frame_len=16)
+        scen.target = PointTarget(0.0, radar_alpha_from_snr(db_to_linear(20.0), scen))
+        w = complex_gaussian(rng, (8, 2))
+        grid = GridSpec(half_width=4 * DEG, step=0.1 * DEG)
+        sq_theta, sq_alpha = [], []
+        for child in np.random.SeedSequence(17).spawn(trials):
+            trial = np.random.default_rng(child)
+            x = synth_tx(w, gen_streams(2, 16, trial))
+            y = radar_echo(x, scen.target, scen.noise_radar, scen.geometry, trial)
+            theta, alpha = PointMle(x, grid, scen.geometry).estimate(y)
+            sq_theta.append((theta - scen.target.theta) ** 2)
+            sq_alpha.append(abs(alpha - scen.target.alpha) ** 2)
+        rep = monte_carlo_point(scen, w, trials, 17, grid)
+        assert rep["trials"] == trials
+        assert rep["rmse_theta"] == pytest.approx(np.sqrt(np.mean(sq_theta)), rel=1e-12)
+        assert rep["rmse_alpha"] == pytest.approx(np.sqrt(np.mean(sq_alpha)), rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1])
+    def test_monte_carlo_extended_matches_a_single_frame_loop(self, trials, rng):
+        scen = make_scenario(rng, k=2, n_tx=4, n_rx=6, frame_len=12)
+        w, aux = complex_gaussian(rng, (4, 2)), complex_gaussian(rng, (4, 4))
+        stacked = np.hstack([w, aux])
+        sq = []
+        for child in np.random.SeedSequence(23).spawn(trials):
+            trial = np.random.default_rng(child)
+            target = ExtendedTarget.random(scen.geometry, trial)
+            x = synth_tx(stacked, gen_streams(6, 12, trial))
+            y = radar_echo(x, target, scen.noise_radar, scen.geometry, trial)
+            sq.append(np.linalg.norm(mle_extended(y, x) - target.response) ** 2)
+        rep = monte_carlo_extended(scen, w, aux, trials, 23)
+        assert rep["trials"] == trials
+        assert rep["mse"] == pytest.approx(np.mean(sq), rel=1e-12)
+
+
 class TestExtendedMle:
     def test_noiseless_exact(self, rng):
         geom = ArrayGeometry(8, 10)
@@ -232,7 +323,25 @@ class TestExtendedMle:
     (lambda rng: monte_carlo_point(make_scenario(rng, k=2, n_tx=4, n_rx=6, frame_len=8,
                                                  target=ExtendedTarget(np.ones((6, 4)))), np.ones((4, 2)), 1, 0),
      ValueError, "scenario must carry a PointTarget"),
-], ids=["radar_echo", "monte_carlo_point"])
+    (lambda rng: radar_echo(np.ones((4, 5)), PointTarget(0.0), -1.0, ArrayGeometry(4, 6), rng),
+     ValueError, "sigma_r2 must be finite and non-negative"),
+    (lambda rng: radar_echo(np.ones((4, 5)), PointTarget(0.0), np.nan, ArrayGeometry(4, 6), rng),
+     ValueError, "sigma_r2 must be finite and non-negative"),
+    (lambda rng: radar_echo(np.ones((2, 4, 5)), PointTarget(0.0), 1.0, ArrayGeometry(4, 6), [rng]),
+     DimensionMismatch, "1 generators for 2 frames"),
+    (lambda rng: GridSpec(step=0.0), ValueError, "GridSpec.step must be positive"),
+    (lambda rng: GridSpec(step=-DEG), ValueError, "GridSpec.step must be positive"),
+    (lambda rng: GridSpec(half_width=-DEG), ValueError, "GridSpec.half_width must be non-negative"),
+    (lambda rng: GridSpec(center=np.inf), ValueError, "GridSpec.center must be finite"),
+    (lambda rng: GridSpec(half_width=np.nan), ValueError, "GridSpec.half_width must be finite"),
+    (lambda rng: monte_carlo_point(make_scenario(rng, k=2, n_tx=4, n_rx=6, frame_len=8), np.ones((4, 2)), 0, 0),
+     ValueError, "trials must be at least 1, got 0"),
+    (lambda rng: monte_carlo_extended(make_scenario(rng, k=2, n_tx=4, n_rx=6, frame_len=8), np.ones((4, 2)),
+                                      np.eye(4), -1, 0),
+     ValueError, "trials must be at least 1, got -1"),
+], ids=["radar_echo", "monte_carlo_point", "negative_noise", "nan_noise", "generator_count", "zero_step",
+        "negative_step", "negative_half_width", "infinite_center", "nan_half_width", "zero_trials",
+        "negative_trials"])
 def test_input_checks(call, exc, match, rng):
     with pytest.raises(exc, match=match):
         call(rng)
